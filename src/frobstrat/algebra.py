@@ -1,4 +1,4 @@
-"""Exact arithmetic over prime fields: scalars, truncated series, matrices.
+"""Exact arithmetic over prime fields: primality, truncated series, matrices.
 
 All values are immutable and tiny: the moduli in play are small primes,
 series live at precision a few multiples of p, and matrices stay below a
@@ -8,14 +8,8 @@ floating point enters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import (
-    DivisionByZero,
-    InvalidParameters,
-    ModulusMismatch,
-    PrecisionMismatch,
-)
+from .errors import InvalidParameters
+from .record import Record
 
 
 def is_prime(n: int) -> bool:
@@ -36,55 +30,7 @@ def require_prime(p) -> None:
         raise InvalidParameters(f"modulus must be a prime integer, got {p!r}")
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """An element of F_p, stored reduced into the window [0, p).
-
-    Arithmetic never mixes moduli: combining elements over different primes
-    raises :class:`ModulusMismatch` rather than silently coercing.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _check(self, other: FieldElem) -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ModulusMismatch(
-                f"cannot combine F_{self.modulus} with F_{other.modulus}"
-            )
-
-    def __add__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> FieldElem:
-        return FieldElem(-self.value, self.modulus)
-
-    def inverse(self) -> FieldElem:
-        if self.value == 0:
-            raise DivisionByZero(f"0 has no inverse in F_{self.modulus}")
-        return FieldElem(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(Record):
     """A power series over F_p truncated at a fixed precision.
 
     ``coeffs[j]`` holds the coefficient of t**j; the length of ``coeffs`` is
@@ -95,12 +41,12 @@ class TruncSeries:
     coeffs: tuple[int, ...]
     modulus: int
 
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs, modulus: int) -> None:
+        require_prime(modulus)
+        if len(coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
-        reduced = tuple(int(c) % self.modulus for c in self.coeffs)
-        object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "coeffs", tuple(int(c) % modulus for c in coeffs))
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def precision(self) -> int:
@@ -113,48 +59,23 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __mul__(self, other: TruncSeries) -> TruncSeries:
-        return series_mul(self, other)
 
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the shared precision."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(
-            f"series moduli differ: {a.modulus} vs {b.modulus}"
-        )
-    if a.precision != b.precision:
-        raise PrecisionMismatch(
-            f"series precisions differ: {a.precision} vs {b.precision}"
-        )
-    n = a.precision
-    out = [0] * n
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncSeries(tuple(out), a.modulus)
-
-
-@dataclass(frozen=True)
-class FpMatrix:
+class FpMatrix(Record):
     """A dense matrix over F_p, stored as a tuple of row tuples."""
 
     rows: tuple[tuple[int, ...], ...]
     modulus: int
 
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        if not self.rows or not self.rows[0]:
+    def __init__(self, rows, modulus: int) -> None:
+        require_prime(modulus)
+        if not rows or not rows[0]:
             raise InvalidParameters("matrix dimensions must be positive")
-        width = len(self.rows[0])
-        if any(len(row) != width for row in self.rows):
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
             raise InvalidParameters("matrix rows must share one length")
-        reduced = tuple(
-            tuple(int(x) % self.modulus for x in row) for row in self.rows
-        )
+        reduced = tuple(tuple(int(x) % modulus for x in row) for row in rows)
         object.__setattr__(self, "rows", reduced)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def nrows(self) -> int:

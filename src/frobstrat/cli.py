@@ -5,6 +5,9 @@ here.  JSON output is minified with sorted keys and TSV uses bare tab and
 newline separators, so both formats are byte-stable for a fixed command
 line.  Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an
 internal invariant violation.
+
+Each command's handler imports the layers it uses when it runs, so one
+call loads and compiles only what its own command needs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .errors import (
     ExtrapolationWarning,
@@ -22,44 +24,12 @@ from .errors import (
     InvalidParameters,
     InvariantViolation,
 )
-from .local_frobenius import (
-    FiberPoint,
-    LocalContext,
-    colength_profile,
-    fiber_points,
-    fiber_polygon,
-    right_multiply,
-    submodule_contains,
-    submodule_contains_monomial,
-    tau_power,
-)
-from .polygons import (
-    canonical_polygon,
-    enumerate_frobenius_polygons,
-    reference_label,
-    vertex_lists,
-)
-from .strata import (
-    CurveContext,
-    canonical_stratum_dim,
-    fiber_census,
-    stratum_table,
-)
+from .record import Record
 
 PRECISION_ENV_VAR = "FROBSTRAT_PRECISION"
 
-COMMANDS = (
-    "polygons",
-    "classify",
-    "fiber-census",
-    "strata-table",
-    "canonical-polygon",
-    "verify-claims",
-)
 
-
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(Record):
     """Resolved invocation: command, parameters, and output format."""
 
     command: str
@@ -116,42 +86,15 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    sub.add_parser(
-        "polygons",
-        parents=[shared],
-        help="enumerate all destabilized pull-back polygons",
-    )
-    classify = sub.add_parser(
-        "classify",
-        parents=[shared],
-        help="classify one fiber point into its polygon stratum",
-    )
-    classify.add_argument(
-        "--lambda",
-        dest="lambdas",
-        required=True,
-        help="comma-separated projective coordinates, e.g. 1,0,0",
-    )
-    sub.add_parser(
-        "fiber-census",
-        parents=[shared],
-        help="count fiber points per stratum, with closed forms",
-    )
-    sub.add_parser(
-        "strata-table",
-        parents=[shared],
-        help="emit the assembled stratum dimension table",
-    )
-    sub.add_parser(
-        "canonical-polygon",
-        parents=[shared],
-        help="emit the extremal polygon and its stratum dimension",
-    )
-    sub.add_parser(
-        "verify-claims",
-        parents=[shared],
-        help="check the four membership claims over every fiber point",
-    )
+    for name, (help_text, _) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[shared], help=help_text)
+        if name == "classify":
+            command.add_argument(
+                "--lambda",
+                dest="lambdas",
+                required=True,
+                help="comma-separated projective coordinates, e.g. 1,0,0",
+            )
     return parser
 
 
@@ -191,7 +134,9 @@ def config_from_args(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def _local_context(config: CliConfig) -> LocalContext:
+def _local_context(config: CliConfig):
+    from .local_frobenius import LocalContext
+
     if config.precision is None:
         return LocalContext.default(config.p)
     return LocalContext(config.p, config.precision)
@@ -206,13 +151,18 @@ def _opt(value) -> str:
 
 
 def _cmd_polygons(config: CliConfig):
+    from .polygons import enumerate_frobenius_polygons, vertex_lists
+
     polys = enumerate_frobenius_polygons(config.p, config.g, config.r, config.d)
     payload = [vertex_lists(pg) for pg in polys]
     lines = [_fmt_vertices(pg) for pg in polys]
-    return payload, lines
+    return payload, lines, 0
 
 
 def _cmd_classify(config: CliConfig):
+    from .local_frobenius import FiberPoint, colength_profile, fiber_polygon
+    from .polygons import reference_label, vertex_lists
+
     if config.lambdas is None:
         raise InvalidParameters("classify requires --lambda")
     ctx = _local_context(config)
@@ -234,10 +184,12 @@ def _cmd_classify(config: CliConfig):
         payload["extrapolated"] = True
     cols = [_opt(label), _fmt_vertices(polygon)]
     cols += [str(profile.colengths[lv]) for lv in sorted(profile.colengths)]
-    return payload, ["\t".join(cols)]
+    return payload, ["\t".join(cols)], 0
 
 
 def _cmd_fiber_census(config: CliConfig):
+    from .strata import fiber_census
+
     census = fiber_census(config.p, config.g, config.line_degree)
     payload = {
         "closed_counts": census.closed_counts,
@@ -255,10 +207,12 @@ def _cmd_fiber_census(config: CliConfig):
         f"{label}\t{census.closed_counts[label]}\t{census.closed_forms[label]}"
         for label in sorted(census.closed_counts)
     ]
-    return payload, lines
+    return payload, lines, 0
 
 
 def _cmd_strata_table(config: CliConfig):
+    from .strata import CurveContext, stratum_table
+
     ctx = CurveContext(config.p, config.g, config.r, config.d, config.line_degree)
     reports = stratum_table(ctx)
     payload = [report.as_json_dict() for report in reports]
@@ -282,19 +236,29 @@ def _cmd_strata_table(config: CliConfig):
                 ]
             )
         )
-    return payload, lines
+    return payload, lines, 0
 
 
 def _cmd_canonical_polygon(config: CliConfig):
+    from .polygons import canonical_polygon, canonical_stratum_dim, vertex_lists
+
     polygon = canonical_polygon(config.p, config.g, config.r, config.d)
     dim = canonical_stratum_dim(config.r, config.g)
     payload = {"stratum_dim": dim, "vertices": vertex_lists(polygon)}
-    return payload, [f"{_fmt_vertices(polygon)}\t{dim}"]
+    return payload, [f"{_fmt_vertices(polygon)}\t{dim}"], 0
 
 
 def _cmd_verify_claims(config: CliConfig):
     """Membership of tau^(p-1) t^j against the monomial criterion, for the
     four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p)."""
+    from .local_frobenius import (
+        fiber_points,
+        right_multiply,
+        submodule_contains,
+        submodule_contains_monomial,
+        tau_power,
+    )
+
     ctx = _local_context(config)
     p = config.p
     points = fiber_points(p)
@@ -325,30 +289,37 @@ def _cmd_verify_claims(config: CliConfig):
         f"{row['claim']}\t{row['status']}\t{row['passed']}\t{row['total']}"
         for row in results
     ]
-    return results, lines, all_ok
+    return results, lines, 0 if all_ok else 2
+
+
+#: Command name -> (help line, handler).  A handler imports the layers it
+#: uses and returns the JSON payload, the TSV lines and the exit code.
+COMMANDS = {
+    "polygons": ("enumerate all destabilized pull-back polygons", _cmd_polygons),
+    "classify": ("classify one fiber point into its polygon stratum", _cmd_classify),
+    "fiber-census": (
+        "count fiber points per stratum, with closed forms",
+        _cmd_fiber_census,
+    ),
+    "strata-table": ("emit the assembled stratum dimension table", _cmd_strata_table),
+    "canonical-polygon": (
+        "emit the extremal polygon and its stratum dimension",
+        _cmd_canonical_polygon,
+    ),
+    "verify-claims": (
+        "check the four membership claims over every fiber point",
+        _cmd_verify_claims,
+    ),
+}
 
 
 def run(config: CliConfig) -> int:
     """Dispatch one resolved invocation; returns the process exit code."""
+    if config.command not in COMMANDS:
+        print(f"frobstrat: unknown command {config.command!r}", file=sys.stderr)
+        return 1
     try:
-        exit_code = 0
-        if config.command == "verify-claims":
-            payload, lines, all_ok = _cmd_verify_claims(config)
-            if not all_ok:
-                exit_code = 2
-        elif config.command == "polygons":
-            payload, lines = _cmd_polygons(config)
-        elif config.command == "classify":
-            payload, lines = _cmd_classify(config)
-        elif config.command == "fiber-census":
-            payload, lines = _cmd_fiber_census(config)
-        elif config.command == "strata-table":
-            payload, lines = _cmd_strata_table(config)
-        elif config.command == "canonical-polygon":
-            payload, lines = _cmd_canonical_polygon(config)
-        else:
-            print(f"frobstrat: unknown command {config.command!r}", file=sys.stderr)
-            return 1
+        payload, lines, exit_code = COMMANDS[config.command][1](config)
     except InvariantViolation as exc:
         print(f"frobstrat: internal invariant violated: {exc}", file=sys.stderr)
         return 2

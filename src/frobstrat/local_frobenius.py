@@ -22,7 +22,6 @@ classification at the end of the module.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import comb
 
 from .algebra import FpMatrix, TruncSeries, matrix_rank, require_prime
@@ -33,14 +32,14 @@ from .errors import (
     ModulusMismatch,
     PrecisionExhausted,
 )
-from .polygons import LatticePolygon, make_polygon
+from .polygons import LatticePolygon, _upper_hull, make_polygon
+from .record import Record
 
 #: Parameters (p, genus, line degree) the degree bookkeeping is exact for.
 REFERENCE_PARAMETERS = (3, 2, -1)
 
 
-@dataclass(frozen=True)
-class LocalContext:
+class LocalContext(Record):
     """Ambient data of the local model: the prime p and a working precision.
 
     Right exponents live below ``precision``; membership tests for the top
@@ -65,31 +64,29 @@ class LocalContext:
         return cls(p, 3 * p)
 
 
-@dataclass(frozen=True)
-class PullbackElement:
+class PullbackElement(Record):
     """Element of k[[t]] ⊗_A k[[t]] in normal form.
 
     ``coeffs[i][j]`` is the coefficient of t^i ⊗ t^j with 0 <= i < p and
     0 <= j < precision; any monomial with left exponent >= p has been
     rewritten by moving t^p across the tensor sign, and right exponents at
     or past the precision are truncated.  Normal form is unique, so
-    dataclass equality decides equality of elements.
+    field-wise equality decides equality of elements.
     """
 
     coeffs: tuple[tuple[int, ...], ...]
     modulus: int
 
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        if len(self.coeffs) != self.modulus:
+    def __init__(self, coeffs, modulus: int) -> None:
+        require_prime(modulus)
+        if len(coeffs) != modulus:
             raise InvalidParameters("coefficient grid must have p rows")
-        width = len(self.coeffs[0])
-        if any(len(row) != width for row in self.coeffs):
+        width = len(coeffs[0])
+        if any(len(row) != width for row in coeffs):
             raise InvalidParameters("coefficient rows must share one length")
-        reduced = tuple(
-            tuple(int(c) % self.modulus for c in row) for row in self.coeffs
-        )
+        reduced = tuple(tuple(int(c) % modulus for c in row) for row in coeffs)
         object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def precision(self) -> int:
@@ -99,33 +96,31 @@ class PullbackElement:
         return not any(any(row) for row in self.coeffs)
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(Record):
     """Point (λ0 : ... : λ_{p-1}) of P^{p-1}(F_p) naming a colength-one
     submodule of k[[t]].
 
     Stored in projective normal form: the first nonzero coordinate is
-    scaled to 1, so dataclass equality decides projective equality.
+    scaled to 1, so field-wise equality decides projective equality.
     """
 
     lambdas: tuple[int, ...]
     modulus: int
 
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        p = self.modulus
-        if len(self.lambdas) != p:
+    def __init__(self, lambdas, modulus: int) -> None:
+        require_prime(modulus)
+        p = modulus
+        if len(lambdas) != p:
             raise InvalidParameters(
-                f"need exactly p = {p} coordinates, got {len(self.lambdas)}"
+                f"need exactly p = {p} coordinates, got {len(lambdas)}"
             )
-        reduced = [int(v) % p for v in self.lambdas]
+        reduced = [int(v) % p for v in lambdas]
         lead = next((v for v in reduced if v), None)
         if lead is None:
             raise InvalidParameters("coordinates must not all vanish")
         inv = pow(lead, p - 2, p)
-        object.__setattr__(
-            self, "lambdas", tuple((v * inv) % p for v in reduced)
-        )
+        object.__setattr__(self, "lambdas", tuple((v * inv) % p for v in reduced))
+        object.__setattr__(self, "modulus", p)
 
 
 def fiber_points(p: int) -> tuple[FiberPoint, ...]:
@@ -252,8 +247,7 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     return matrix_rank(FpMatrix(tuple(rows), p))
 
 
-@dataclass(frozen=True)
-class ColengthProfile:
+class ColengthProfile(Record):
     """Colengths and intersection degrees of one fiber point, per level.
 
     ``colengths[l]`` is the stalk codimension at level l and
@@ -331,17 +325,3 @@ def fiber_polygon(
         chain.append((p - lv, profile.intersection_degrees[lv]))
     chain.append((p, p * subsheaf_degree))
     return make_polygon(_upper_hull(chain))
-
-
-def _upper_hull(points):
-    """Upper convex envelope of points with strictly increasing abscissae."""
-    hull: list[tuple[int, int]] = []
-    for pt in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) >= 0:
-            hull.pop()
-        hull.append(pt)
-    return hull
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

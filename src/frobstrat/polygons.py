@@ -6,7 +6,8 @@ slopes: the shape of a Harder-Narasimhan polygon.  This module provides
 construction and canonical form, exact-rational slope and height queries,
 the pointwise domination order, duals, exhaustive enumeration of the
 shapes admissible for Frobenius pull-backs of semistable bundles, and the
-extremal shape realised by direct images under Frobenius.
+extremal shape realised by direct images under Frobenius together with
+the dimension of its stratum.
 
 Heights and slopes are :class:`fractions.Fraction` values throughout; two
 polygons are equal exactly when their canonical vertex chains coincide.
@@ -15,7 +16,6 @@ polygons are equal exactly when their canonical vertex chains coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import require_prime
@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolation,
     NotConvex,
 )
+from .record import Record
 
 
 def _segment_slopes(vertices) -> list[Fraction]:
@@ -35,8 +36,7 @@ def _segment_slopes(vertices) -> list[Fraction]:
     ]
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """Canonical vertex chain: starts at (0, 0), slopes strictly decreasing.
 
     Construction validates the canonical-form invariants; use
@@ -46,8 +46,8 @@ class LatticePolygon:
 
     vertices: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        verts = tuple((int(a), int(b)) for a, b in self.vertices)
+    def __init__(self, vertices) -> None:
+        verts = tuple((int(a), int(b)) for a, b in vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise InvalidParameters("a polygon needs at least two vertices")
@@ -79,8 +79,7 @@ class LatticePolygon:
         return "->".join(f"({a},{b})" for a, b in self.vertices)
 
 
-@dataclass(frozen=True)
-class PolygonSet:
+class PolygonSet(Record):
     """A deduplicated, deterministically ordered family of polygons sharing
     the endpoint (r, p*d)."""
 
@@ -123,6 +122,16 @@ def make_polygon(points) -> LatticePolygon:
             kept.pop()
         kept.append(pt)
     return LatticePolygon(tuple(kept))
+
+
+def _upper_hull(points):
+    """Upper convex envelope of points with strictly increasing abscissae."""
+    hull: list[tuple[int, int]] = []
+    for pt in points:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], pt) >= 0:
+            hull.pop()
+        hull.append(pt)
+    return hull
 
 
 def _cross(o, a, b) -> int:
@@ -306,6 +315,15 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
     if any(gap != 2 * g - 2 for gap in slope_gaps(pg)):
         raise InvariantViolation("extremal polygon slope drops are not 2g - 2")
     return pg
+
+
+def canonical_stratum_dim(r: int, g: int) -> int:
+    """Dimension r^2 (g - 1) + 1 of the extremal-polygon stratum."""
+    if r < 1:
+        raise InvalidParameters(f"rank must be at least 1, got {r}")
+    if g < 2:
+        raise InvalidParameters(f"genus must be at least 2, got {g}")
+    return r * r * (g - 1) + 1
 
 
 def is_canonical(pg: LatticePolygon, p: int, g: int) -> bool:

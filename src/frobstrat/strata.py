@@ -16,7 +16,6 @@ agreement of enumerated point counts with closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import require_prime
@@ -35,6 +34,7 @@ from .polygons import (
     REFERENCE_POLYGONS,
     LatticePolygon,
     canonical_polygon,
+    canonical_stratum_dim,
     dominates,
     dual_polygon,
     reference_label,
@@ -42,6 +42,7 @@ from .polygons import (
     satisfies_spread_bound,
     vertex_lists,
 )
+from .record import Record
 
 #: Reference configuration for the stratum tables.
 REFERENCE_CONTEXT = (3, 2, 3, 0, -1)  # (p, g, r, d, line_degree)
@@ -72,8 +73,7 @@ _CLOSURE_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class CurveContext:
+class CurveContext(Record):
     """Ambient quadruple (p, g, r, d) plus the source line-bundle degree."""
 
     p: int = 3
@@ -90,8 +90,7 @@ class CurveContext:
             raise InvalidParameters(f"rank must be at least 1, got {self.r}")
 
 
-@dataclass(frozen=True)
-class StratumReport:
+class StratumReport(Record):
     """One assembled stratum row: polygon, dimensions, closure, counts.
 
     ``fiber_dim``/``quot_dim`` are None for strata that never occur among
@@ -182,8 +181,7 @@ def _eval_form_closed(dim: int, q: int) -> int:
     return sum(q**k for k in range(dim + 1))
 
 
-@dataclass(frozen=True)
-class FiberCensus:
+class FiberCensus(Record):
     """Exhaustive classification of the colength-one fiber over F_p.
 
     ``strict_counts`` counts points whose polygon equals each shape;
@@ -239,15 +237,6 @@ def fiber_census(p: int, g: int, line_degree: int) -> FiberCensus:
             for label, dim in _FIBER_STRATUM_DIM.items()
         },
     )
-
-
-def canonical_stratum_dim(r: int, g: int) -> int:
-    """Dimension r^2 (g - 1) + 1 of the extremal-polygon stratum."""
-    if r < 1:
-        raise InvalidParameters(f"rank must be at least 1, got {r}")
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
-    return r * r * (g - 1) + 1
 
 
 def b1_splits(p: int, g: int) -> bool:

@@ -7,21 +7,14 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from frobstrat.algebra import (
-    FieldElem,
-    FpMatrix,
-    TruncSeries,
-    is_prime,
-    matrix_rank,
-    series_mul,
-)
+from frobstrat.algebra import FpMatrix, TruncSeries, is_prime, matrix_rank
 from frobstrat.errors import (
     DivisionByZero,
     InvalidParameters,
     ModulusMismatch,
     PrecisionMismatch,
 )
-from oracles import convolve_mod, rowspace_rank
+from oracles import FieldElem, convolve_mod, rowspace_rank, series_mul
 
 SMALL_PRIMES = (2, 3, 5, 7)
 

@@ -227,3 +227,27 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == GOLDEN_CLASSIFY
+
+
+def _imported_modules(env, *args) -> set[str]:
+    """Modules a child interpreter imports, read from ``-X importtime``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_canonical_polygon_imports_only_its_layers(child_env):
+    loaded = _imported_modules(child_env, "-m", "frobstrat", "canonical-polygon")
+    loaded -= _imported_modules(child_env, "-c", "pass")
+    assert "frobstrat.polygons" in loaded
+    unused = {"dataclasses", "inspect", "frobstrat.strata", "frobstrat.local_frobenius"}
+    assert not loaded & unused
