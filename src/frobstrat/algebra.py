@@ -1,12 +1,16 @@
 """Exact arithmetic over prime fields: primality, truncated series, matrices.
 
-All values are immutable and tiny: the moduli in play are small primes,
-series live at precision a few multiples of p, and matrices stay below a
-dozen rows, so plain Python integers are the right representation.  No
-floating point enters anywhere.
+All values are immutable and small: the moduli in play are small primes,
+series live at precision a few multiples of p, and a colength matrix
+stacks p(p - l) rows of width p (20 rows at p = 5, 42 at p = 7), so plain
+Python integers are the right representation.  No floating point enters
+anywhere, and entries must be integers: a float or a fraction is refused
+rather than truncated.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .errors import InvalidParameters
 from .record import Record
@@ -30,6 +34,21 @@ def require_prime(p) -> None:
         raise InvalidParameters(f"modulus must be a prime integer, got {p!r}")
 
 
+def _not_integral(values) -> InvalidParameters:
+    """The error for ``values`` when one of them is not an integer; raised
+    in place of the :class:`TypeError` of :func:`operator.index`."""
+    return InvalidParameters(f"entries must be integers, got {values!r}")
+
+
+def _reduce(values, p: int) -> tuple[int, ...]:
+    """``values`` reduced into [0, p); a float or a fraction is refused, not
+    truncated."""
+    try:
+        return tuple(index(v) % p for v in values)
+    except TypeError:
+        raise _not_integral(values) from None
+
+
 class TruncSeries(Record):
     """A power series over F_p truncated at a fixed precision.
 
@@ -45,16 +64,12 @@ class TruncSeries(Record):
         require_prime(modulus)
         if len(coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
-        object.__setattr__(self, "coeffs", tuple(int(c) % modulus for c in coeffs))
+        object.__setattr__(self, "coeffs", _reduce(coeffs, modulus))
         object.__setattr__(self, "modulus", modulus)
 
     @property
     def precision(self) -> int:
         return len(self.coeffs)
-
-    @classmethod
-    def zero(cls, modulus: int, precision: int) -> TruncSeries:
-        return cls((0,) * precision, modulus)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -67,15 +82,29 @@ class FpMatrix(Record):
     modulus: int
 
     def __init__(self, rows, modulus: int) -> None:
+        self._check(rows, modulus)
+        reduced = tuple(_reduce(row, modulus) for row in rows)
+        object.__setattr__(self, "rows", reduced)
+        object.__setattr__(self, "modulus", modulus)
+
+    @classmethod
+    def _from_reduced(cls, rows, modulus: int) -> FpMatrix:
+        """Matrix on a tuple of int tuples whose entries already lie in
+        [0, modulus): the checks of the constructor without the reduction."""
+        self = object.__new__(cls)
+        self._check(rows, modulus)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "modulus", modulus)
+        return self
+
+    @staticmethod
+    def _check(rows, modulus: int) -> None:
         require_prime(modulus)
         if not rows or not rows[0]:
             raise InvalidParameters("matrix dimensions must be positive")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise InvalidParameters("matrix rows must share one length")
-        reduced = tuple(tuple(int(x) % modulus for x in row) for row in rows)
-        object.__setattr__(self, "rows", reduced)
-        object.__setattr__(self, "modulus", modulus)
 
     @property
     def nrows(self) -> int:
@@ -87,23 +116,25 @@ class FpMatrix(Record):
 
 
 def matrix_rank(m: FpMatrix) -> int:
-    """Rank over F_p by exact Gaussian elimination."""
-    p = m.modulus
-    rows = [list(row) for row in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over F_p: the number of rows of a row echelon form.
+
+    Rows join the echelon one at a time, each reduced first against the
+    rows already there in increasing pivot column; a row that survives
+    adds its leading column as a new pivot.  Pivot rows are never
+    normalised and nothing above a pivot is cleared, and the scan stops
+    once every column holds a pivot.
+    """
+    p, width = m.modulus, m.ncols
+    echelon: list[tuple[int, int, list[int]]] = []  # (column, 1/pivot, row)
+    for row in m.rows:
+        for col, inv, pivot_row in echelon:
+            if row[col]:
+                f = row[col] * inv
+                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is not None:
+            echelon.append((lead, pow(row[lead], p - 2, p), row))
+            echelon.sort()
+            if len(echelon) == width:
+                break
+    return len(echelon)

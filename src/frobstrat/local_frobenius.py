@@ -22,9 +22,18 @@ classification at the end of the module.
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 from math import comb
+from operator import index, mul
 
-from .algebra import FpMatrix, TruncSeries, matrix_rank, require_prime
+from .algebra import (
+    FpMatrix,
+    TruncSeries,
+    _not_integral,
+    _reduce,
+    matrix_rank,
+    require_prime,
+)
 from .errors import (
     ExtrapolationWarning,
     InvalidLevel,
@@ -78,15 +87,29 @@ class PullbackElement(Record):
     modulus: int
 
     def __init__(self, coeffs, modulus: int) -> None:
+        self._check(coeffs, modulus)
+        reduced = tuple(_reduce(row, modulus) for row in coeffs)
+        object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "modulus", modulus)
+
+    @classmethod
+    def _from_reduced(cls, coeffs, modulus: int) -> PullbackElement:
+        """Element on a tuple of int tuples whose entries already lie in
+        [0, modulus): the checks of the constructor without the reduction."""
+        self = object.__new__(cls)
+        self._check(coeffs, modulus)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "modulus", modulus)
+        return self
+
+    @staticmethod
+    def _check(coeffs, modulus: int) -> None:
         require_prime(modulus)
         if len(coeffs) != modulus:
             raise InvalidParameters("coefficient grid must have p rows")
         width = len(coeffs[0])
         if any(len(row) != width for row in coeffs):
             raise InvalidParameters("coefficient rows must share one length")
-        reduced = tuple(tuple(int(c) % modulus for c in row) for row in coeffs)
-        object.__setattr__(self, "coeffs", reduced)
-        object.__setattr__(self, "modulus", modulus)
 
     @property
     def precision(self) -> int:
@@ -114,7 +137,7 @@ class FiberPoint(Record):
             raise InvalidParameters(
                 f"need exactly p = {p} coordinates, got {len(lambdas)}"
             )
-        reduced = [int(v) % p for v in lambdas]
+        reduced = _reduce(lambdas, p)
         lead = next((v for v in reduced if v), None)
         if lead is None:
             raise InvalidParameters("coordinates must not all vanish")
@@ -148,15 +171,18 @@ def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
     """
     p, n = ctx.p, ctx.precision
     grid = [[0] * n for _ in range(p)]
-    for left, right, coef in terms:
-        left, right = int(left), int(right)
+    for term in terms:
+        try:
+            left, right, coef = map(index, term)
+        except TypeError:
+            raise _not_integral(term) from None
         if left < 0 or right < 0:
             raise InvalidParameters("monomial exponents must be nonnegative")
         carry, left = divmod(left, p)
         right += p * carry
         if right < n:
-            grid[left][right] = (grid[left][right] + int(coef)) % p
-    return PullbackElement(tuple(tuple(row) for row in grid), p)
+            grid[left][right] = (grid[left][right] + coef) % p
+    return PullbackElement._from_reduced(tuple(map(tuple, grid)), p)
 
 
 def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
@@ -187,7 +213,7 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
         )
     pad = (0,) * min(j, n)
     shifted = tuple(pad + row[:cut] for row in element.coeffs)
-    return PullbackElement(shifted, element.modulus)
+    return PullbackElement._from_reduced(shifted, element.modulus)
 
 
 def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
@@ -200,11 +226,11 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
         raise ModulusMismatch(
             f"element over F_{element.modulus}, point over F_{point.modulus}"
         )
-    p = element.modulus
-    coeffs = tuple(
-        sum(lam * element.coeffs[i][j] for i, lam in enumerate(point.lambdas))
-        for j in range(p)
-    )
+    p, lams = element.modulus, point.lambdas
+    if element.precision < p:
+        raise InvalidParameters(f"element precision must be at least p = {p}")
+    rows = [row[:p] for row in compress(element.coeffs, lams)]  # sparse: λ_i != 0
+    coeffs = [sum(map(mul, compress(lams, lams), col)) for col in zip(*rows)]
     return TruncSeries(coeffs, p)
 
 
@@ -244,7 +270,7 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
         base = tau_power(ctx, m)
         for j in range(p):
             rows.append(phi_image(right_multiply(base, j), point).coeffs)
-    return matrix_rank(FpMatrix(tuple(rows), p))
+    return matrix_rank(FpMatrix._from_reduced(tuple(rows), p))
 
 
 class ColengthProfile(Record):

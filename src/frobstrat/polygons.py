@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
-from .algebra import require_prime
+from .algebra import _not_integral, require_prime
 from .errors import (
     BadStart,
     EndpointMismatch,
@@ -27,6 +28,15 @@ from .errors import (
     NotConvex,
 )
 from .record import Record
+
+
+def _lattice_points(points) -> list[tuple[int, int]]:
+    """``points`` as integer pairs; a float or a fraction is refused, not
+    truncated."""
+    try:
+        return [(index(a), index(b)) for a, b in points]
+    except TypeError:
+        raise _not_integral(points) from None
 
 
 def _segment_slopes(vertices) -> list[Fraction]:
@@ -47,7 +57,7 @@ class LatticePolygon(Record):
     vertices: tuple[tuple[int, int], ...]
 
     def __init__(self, vertices) -> None:
-        verts = tuple((int(a), int(b)) for a, b in vertices)
+        verts = tuple(_lattice_points(vertices))
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 2:
             raise InvalidParameters("a polygon needs at least two vertices")
@@ -113,7 +123,7 @@ def make_polygon(points) -> LatticePolygon:
     must strictly decrease once collinear points are removed, otherwise
     :class:`NotConvex` is raised.
     """
-    pts = [(int(a), int(b)) for a, b in points]
+    pts = _lattice_points(points)
     if not pts:
         raise BadStart("empty vertex chain")
     kept: list[tuple[int, int]] = []

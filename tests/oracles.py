@@ -144,6 +144,18 @@ def shift_right(terms, j):
     return [(a, b + j, c) for a, b, c in terms]
 
 
+def closed_form_colength(p: int, b: int, level: int) -> int:
+    """Colength at ``level`` of a point whose last nonzero coordinate is λ_b.
+
+    The image of tau^m t^j spans the ideal of f_m(t) = Σ_k (-1)^k C(m, k)
+    λ_{m-k} t^k in k[t]/(t^p), whose t-adic valuation is m minus the last
+    nonzero index at most m (C(m, k) is a unit mod p for m < p).  Over
+    m >= level the smallest valuation is 0 when b >= level and level - b
+    otherwise, and the colength is p minus it.
+    """
+    return p if b >= level else p - level + b
+
+
 def brute_enumerate_polygons(p, g, r, d):
     """Destabilized pull-back shapes by box search over vertex chains.
 

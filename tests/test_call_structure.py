@@ -1,0 +1,44 @@
+"""The colength path keeps the call structure the benchmark's traced runs pin.
+
+``perfbench`` counts the calls one ``fiber_polygon`` makes to each traced
+function and refuses a traced run whose counts differ from the closed
+forms in ``perfbench/workloads.py``.  This test applies the same check
+with the same tracer, so a change that alters the call structure (say, a
+cache on ``tau_power``) fails here and not only in a traced benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import warnings
+from pathlib import Path
+
+import pytest
+
+import frobstrat.local_frobenius as lf
+from frobstrat.errors import ExtrapolationWarning
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_fiber_polygon_call_counts_match_the_benchmark_guard(p):
+    tracing, workloads = _load("tracing"), _load("workloads")
+    ctx, point = lf.LocalContext.default(p), lf.FiberPoint((1,) * p, p)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            lf.fiber_polygon(ctx, point, 2, -1)  # the wrapper: looked up after install
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.totals()
+    assert calls == workloads.polygon_counts(p)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from frobstrat.algebra import FpMatrix
 from frobstrat.errors import (
     ExtrapolationWarning,
     InvalidLevel,
@@ -17,6 +19,7 @@ from frobstrat.errors import (
 from frobstrat.local_frobenius import (
     FiberPoint,
     LocalContext,
+    PullbackElement,
     colength,
     colength_profile,
     element_from_monomials,
@@ -29,7 +32,13 @@ from frobstrat.local_frobenius import (
     tau_power,
 )
 from frobstrat.polygons import REFERENCE_POLYGONS, reference_label
-from oracles import normalize_monomials, rowspace_rank, shift_right, tau_monomials
+from oracles import (
+    closed_form_colength,
+    normalize_monomials,
+    rowspace_rank,
+    shift_right,
+    tau_monomials,
+)
 
 CTX3 = LocalContext.default(3)
 
@@ -179,6 +188,12 @@ def test_phi_image_modulus_check():
         phi_image(tau_power(CTX3, 1), FiberPoint((1, 0, 0, 0, 0), 5))
 
 
+def test_phi_image_needs_precision_p():
+    short = PullbackElement(((1, 0), (0, 0), (0, 0)), 3)
+    with pytest.raises(InvalidParameters):
+        phi_image(short, FiberPoint((1, 0, 0), 3))
+
+
 def test_membership_claims_exhaustive():
     """The four membership claims, checked against the monomial criterion
     at every point of the projective plane over F_3."""
@@ -245,6 +260,65 @@ def test_colength_matches_rowspace_oracle():
                 for j in range(3):
                     rows.append(phi_image(right_multiply(base, j), point).coeffs)
             assert colength(CTX3, point, level) == rowspace_rank(rows, 3)
+
+
+def _last_nonzero(point):
+    return max(i for i, v in enumerate(point.lambdas) if v)
+
+
+def _stratified_points(p, per_b, seed):
+    """``per_b`` seeded points of P^{p-1}(F_p) for each last nonzero index b."""
+    rng = random.Random(seed)
+    points = []
+    for b in range(p):
+        for _ in range(per_b):
+            head = [rng.randrange(p) for _ in range(b)]
+            points.append(FiberPoint((*head, 1, *[0] * (p - 1 - b)), p))
+    return points
+
+
+@pytest.mark.parametrize(
+    "p,points",
+    [(3, fiber_points(3)), (5, fiber_points(5)), (7, _stratified_points(7, 6, 7))],
+    ids=["p3-all", "p5-all", "p7-stratified"],
+)
+def test_colength_matches_closed_form(p, points):
+    ctx = LocalContext.default(p)
+    assert {_last_nonzero(pt) for pt in points} == set(range(p))
+    for point in points:
+        b = _last_nonzero(point)
+        for level in range(1, p):
+            assert colength(ctx, point, level) == closed_form_colength(p, b, level)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_tau_powers_and_shifts_are_in_normal_form(p):
+    """Values built without re-reduction equal their rebuild by the public
+    constructor, which reduces every entry mod p."""
+    ctx = LocalContext.default(p)
+    for m in range(p):
+        base = tau_power(ctx, m)
+        for j in range(ctx.precision - m):
+            e = right_multiply(base, j)
+            assert PullbackElement(e.coeffs, p) == e
+            assert type(e.coeffs) is tuple
+            assert all(type(row) is tuple for row in e.coeffs)
+            assert all(type(c) is int and 0 <= c < p for row in e.coeffs for c in row)
+
+
+def test_unreduced_constructors_keep_their_checks():
+    with pytest.raises(InvalidParameters):
+        PullbackElement._from_reduced(((0,), (0,)), 3)  # p rows
+    with pytest.raises(InvalidParameters):
+        PullbackElement._from_reduced(((0, 0), (0,), (0,)), 3)  # equal widths
+    with pytest.raises(InvalidParameters):
+        PullbackElement._from_reduced(((0,),) * 4, 4)  # prime modulus
+    with pytest.raises(InvalidParameters):
+        FpMatrix._from_reduced((), 3)  # non-empty
+    with pytest.raises(InvalidParameters):
+        FpMatrix._from_reduced(((1, 2), (1,)), 3)  # equal widths
+    with pytest.raises(InvalidParameters):
+        FpMatrix._from_reduced(((1,),), 9)  # prime modulus
 
 
 def test_fiber_polygon_reference_points():
