@@ -28,6 +28,10 @@ from .record import Record
 
 PRECISION_ENV_VAR = "FROBSTRAT_PRECISION"
 
+#: Most fiber points one ``verify-claims`` call may check: the 137,257
+#: points of P^6(F_7) fit, the 2.9·10^10 points of P^10(F_11) do not.
+VERIFY_POINT_BUDGET = 10**6
+
 
 class CliConfig(Record):
     """Resolved invocation: command, parameters, and output format."""
@@ -81,8 +85,9 @@ def build_parser() -> _Parser:
         "--precision",
         type=int,
         default=None,
-        help="right-exponent precision of the local model (default 3p; "
-        f"overrides ${PRECISION_ENV_VAR})",
+        help="right-exponent precision of the local model (default 3p, at "
+        "least 2p; the work does not grow with it; overrides "
+        f"${PRECISION_ENV_VAR})",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
@@ -250,7 +255,11 @@ def _cmd_canonical_polygon(config: CliConfig):
 
 def _cmd_verify_claims(config: CliConfig):
     """Membership of tau^(p-1) t^j against the monomial criterion, for the
-    four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p)."""
+    four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p).
+
+    Refused before any point is built when P^(p-1)(F_p) has more points
+    than :data:`VERIFY_POINT_BUDGET`.
+    """
     from .local_frobenius import (
         fiber_points,
         right_multiply,
@@ -261,6 +270,15 @@ def _cmd_verify_claims(config: CliConfig):
 
     ctx = _local_context(config)
     p = config.p
+    # From p = 100 on, (p^p - 1)/(p - 1) exceeds 10^190: over the budget, and
+    # too long to be worth computing in full.
+    huge = p >= 100
+    count = f"({p}^{p} - 1)/{p - 1}" if huge else (p**p - 1) // (p - 1)
+    if huge or count > VERIFY_POINT_BUDGET:
+        raise InvalidParameters(
+            f"verify-claims -p {p} would check {count} fiber points, over "
+            f"the work budget of {VERIFY_POINT_BUDGET} points"
+        )
     points = fiber_points(p)
     top = tau_power(ctx, p - 1)
     results = []

@@ -8,6 +8,15 @@ cross the tensor sign).  The canonical filtration of the pullback is
 generated level by level by powers of tau = t⊗1 - 1⊗t, acting through the
 right factor.
 
+The normal form is sparse: an element is the sorted tuple of its nonzero
+monomials, with the right-exponent precision and the modulus beside it.
+tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k has m + 1 of them, a right shift
+moves each one and checks only the last against the precision, and an
+image in k[t]/(t^p) reads only the monomials with right exponent below
+p.  The work of the colength path therefore grows with the number of
+terms and not with the precision; the dense p × precision grid is built
+only when ``coeffs`` is read.
+
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
 Σ λ_i times the constant term of its i-th component in the basis 1, t,
@@ -22,9 +31,8 @@ classification at the end of the module.
 from __future__ import annotations
 
 import warnings
-from itertools import compress
 from math import comb
-from operator import index, mul
+from operator import index
 
 from .algebra import (
     FpMatrix,
@@ -74,13 +82,20 @@ class LocalContext(Record):
 
 
 class PullbackElement(Record):
-    """Element of k[[t]] ⊗_A k[[t]] in normal form.
+    """Element of k[[t]] ⊗_A k[[t]] in sparse normal form.
 
-    ``coeffs[i][j]`` is the coefficient of t^i ⊗ t^j with 0 <= i < p and
-    0 <= j < precision; any monomial with left exponent >= p has been
-    rewritten by moving t^p across the tensor sign, and right exponents at
-    or past the precision are truncated.  Normal form is unique, so
-    field-wise equality decides equality of elements.
+    ``terms`` lists the nonzero monomials c t^i ⊗ t^j as triples (j, i, c),
+    sorted by right exponent j and then by left exponent i, with
+    0 <= i < p, 0 <= j < ``precision`` and 0 < c < p: any monomial with
+    left exponent >= p has been rewritten by moving t^p across the tensor
+    sign, and right exponents at or past the precision are truncated.
+    Normal form is unique, so (terms, precision, modulus) decides equality
+    of elements, and the colength path costs time in the number of terms,
+    never in the precision.
+
+    The record fields are the dense view the constructor takes:
+    ``coeffs[i][j]`` is the coefficient of t^i ⊗ t^j in a p × precision
+    grid, built only when it is read.
     """
 
     coeffs: tuple[tuple[int, ...], ...]
@@ -88,9 +103,7 @@ class PullbackElement(Record):
 
     def __init__(self, coeffs, modulus: int) -> None:
         self._check(coeffs, modulus)
-        reduced = tuple(_reduce(row, modulus) for row in coeffs)
-        object.__setattr__(self, "coeffs", reduced)
-        object.__setattr__(self, "modulus", modulus)
+        self._adopt_grid(tuple(_reduce(row, modulus) for row in coeffs), modulus)
 
     @classmethod
     def _from_reduced(cls, coeffs, modulus: int) -> PullbackElement:
@@ -98,7 +111,16 @@ class PullbackElement(Record):
         [0, modulus): the checks of the constructor without the reduction."""
         self = object.__new__(cls)
         self._check(coeffs, modulus)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._adopt_grid(coeffs, modulus)
+        return self
+
+    @classmethod
+    def _from_terms(cls, terms, precision: int, modulus: int) -> PullbackElement:
+        """Element on ``terms`` already in sparse normal form."""
+        require_prime(modulus)
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "modulus", modulus)
         return self
 
@@ -111,12 +133,40 @@ class PullbackElement(Record):
         if any(len(row) != width for row in coeffs):
             raise InvalidParameters("coefficient rows must share one length")
 
+    def _adopt_grid(self, grid, modulus: int) -> None:
+        columns = enumerate(zip(*grid))
+        terms = tuple((j, i, c) for j, col in columns for i, c in enumerate(col) if c)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "precision", len(grid[0]))
+        object.__setattr__(self, "modulus", modulus)
+
     @property
-    def precision(self) -> int:
-        return len(self.coeffs[0])
+    def coeffs(self) -> tuple[tuple[int, ...], ...]:
+        grid = [[0] * self.precision for _ in range(self.modulus)]
+        for right, left, c in self.terms:
+            grid[left][right] = c
+        return tuple(map(tuple, grid))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.precision, self.modulus) == (
+            other.terms,
+            other.precision,
+            other.modulus,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.precision, self.modulus))
+
+    def __repr__(self) -> str:
+        return (
+            f"PullbackElement(terms={self.terms!r}, "
+            f"precision={self.precision}, modulus={self.modulus})"
+        )
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.coeffs)
+        return not self.terms
 
 
 class FiberPoint(Record):
@@ -170,7 +220,7 @@ def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
     sign; right exponents landing at or past the precision are truncated.
     """
     p, n = ctx.p, ctx.precision
-    grid = [[0] * n for _ in range(p)]
+    sums: dict[tuple[int, int], int] = {}
     for term in terms:
         try:
             left, right, coef = map(index, term)
@@ -181,8 +231,9 @@ def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
         carry, left = divmod(left, p)
         right += p * carry
         if right < n:
-            grid[left][right] = (grid[left][right] + coef) % p
-    return PullbackElement._from_reduced(tuple(map(tuple, grid)), p)
+            sums[right, left] = (sums.get((right, left), 0) + coef) % p
+    normal = tuple((right, left, c) for (right, left), c in sorted(sums.items()) if c)
+    return PullbackElement._from_terms(normal, n, p)
 
 
 def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
@@ -200,20 +251,22 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
     pushed to a right exponent at or past the precision, so results are
     never silently wrong.
     """
+    try:
+        j = index(j)
+    except TypeError:
+        raise _not_integral((j,)) from None
     if j < 0:
         raise InvalidParameters(f"shift must be nonnegative, got {j}")
     if j == 0:
         return element
-    n = element.precision
-    cut = max(n - j, 0)
-    if any(any(row[cut:]) for row in element.coeffs):
+    terms, n = element.terms, element.precision
+    if terms and terms[-1][0] + j >= n:
         raise PrecisionExhausted(
             f"shift by {j} overflows precision {n}; rebuild the context "
             "with a larger precision"
         )
-    pad = (0,) * min(j, n)
-    shifted = tuple(pad + row[:cut] for row in element.coeffs)
-    return PullbackElement._from_reduced(shifted, element.modulus)
+    shifted = tuple((right + j, left, c) for right, left, c in terms)
+    return PullbackElement._from_terms(shifted, n, element.modulus)
 
 
 def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
@@ -229,8 +282,11 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
     p, lams = element.modulus, point.lambdas
     if element.precision < p:
         raise InvalidParameters(f"element precision must be at least p = {p}")
-    rows = [row[:p] for row in compress(element.coeffs, lams)]  # sparse: λ_i != 0
-    coeffs = [sum(map(mul, compress(lams, lams), col)) for col in zip(*rows)]
+    coeffs = [0] * p
+    for right, left, c in element.terms:  # sorted by right exponent
+        if right >= p:
+            break
+        coeffs[right] += lams[left] * c
     return TruncSeries(coeffs, p)
 
 

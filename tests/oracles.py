@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity along a path independent of the library
 code it checks: integer-polynomial convolution for series products,
 row-space enumeration for matrix ranks, one-step-at-a-time monomial
-rewriting for the pullback normal form, and a box search over vertex
+rewriting for the pullback normal form, dense coefficient grids for the
+shifts and images of pullback elements, and a box search over vertex
 chains for the polygon enumeration.  Prime-field scalars and the
 truncated series product live here too, since only the tests use them.
 """
@@ -14,7 +15,12 @@ import itertools
 from fractions import Fraction
 
 from frobstrat.algebra import TruncSeries, require_prime
-from frobstrat.errors import DivisionByZero, ModulusMismatch, PrecisionMismatch
+from frobstrat.errors import (
+    DivisionByZero,
+    ModulusMismatch,
+    PrecisionExhausted,
+    PrecisionMismatch,
+)
 from frobstrat.record import Record
 
 
@@ -142,6 +148,25 @@ def tau_monomials(m):
 def shift_right(terms, j):
     """Multiply a monomial list by v^j."""
     return [(a, b + j, c) for a, b, c in terms]
+
+
+def dense_right_multiply(grid, j):
+    """Shift every row of a p × N coefficient grid right by j places: the
+    product with 1⊗t^j, refused when a nonzero entry would pass column N."""
+    n = len(grid[0])
+    cut = max(n - j, 0)
+    if any(any(row[cut:]) for row in grid):
+        raise PrecisionExhausted(f"shift by {j} overflows precision {n}")
+    pad = (0,) * min(j, n)
+    return tuple(pad + row[:cut] for row in grid)
+
+
+def dense_phi_image(grid, point):
+    """Coefficients of Σ_i λ_i (row i of the grid) in k[t]/(t^p)."""
+    p, lams = point.modulus, point.lambdas
+    return tuple(
+        sum(lam * row[k] for lam, row in zip(lams, grid)) % p for k in range(p)
+    )
 
 
 def closed_form_colength(p: int, b: int, level: int) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -251,3 +252,50 @@ def test_canonical_polygon_imports_only_its_layers(child_env):
     assert "frobstrat.polygons" in loaded
     unused = {"dataclasses", "inspect", "frobstrat.strata", "frobstrat.local_frobenius"}
     assert not loaded & unused
+
+
+def _run_capped(env, *argv, timeout=60):
+    """``python -m frobstrat`` in a child whose address space is capped at
+    1 GiB, so a command whose memory grows with a flag fails instead of
+    taking the machine's memory."""
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "frobstrat", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=timeout,
+    )
+
+
+def test_work_does_not_grow_with_precision(child_env):
+    argv = ("classify", "--lambda", "1,0,0")
+    huge = _run_capped(child_env, *argv, "--precision", str(10**9), timeout=30)
+    assert huge.returncode == 0, huge.stderr
+    assert huge.stdout == _run_capped(child_env, *argv).stdout
+    assert huge.stdout.strip() == GOLDEN_CLASSIFY
+
+
+@pytest.mark.parametrize(
+    "p,count", [(11, "28531167061"), (101, "(101^101 - 1)/100")], ids=["p11", "p101"]
+)
+def test_verify_claims_refuses_over_budget(child_env, p, count):
+    from frobstrat.cli import VERIFY_POINT_BUDGET
+
+    proc = _run_capped(child_env, "verify-claims", "-p", str(p), timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert count in proc.stderr
+    assert str(VERIFY_POINT_BUDGET) in proc.stderr
+
+
+def test_verify_claims_at_p7_is_within_budget(child_env):
+    proc = _run_capped(child_env, "verify-claims", "-p", "7", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    n = (7**7 - 1) // 6
+    assert proc.stdout.splitlines() == [f"{c}\tpass\t{n}\t{n}" for c in "abcd"]

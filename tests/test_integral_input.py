@@ -13,6 +13,8 @@ from frobstrat.local_frobenius import (
     LocalContext,
     PullbackElement,
     element_from_monomials,
+    right_multiply,
+    tau_power,
 )
 from frobstrat.polygons import LatticePolygon, make_polygon
 
@@ -30,6 +32,7 @@ BUILDERS = {
     "element_from_monomials.left": lambda v: element_from_monomials(CTX3, [(v, 0, 1)]),
     "element_from_monomials.right": lambda v: element_from_monomials(CTX3, [(0, v, 1)]),
     "element_from_monomials.coef": lambda v: element_from_monomials(CTX3, [(0, 0, v)]),
+    "right_multiply": lambda v: right_multiply(tau_power(CTX3, 1), v),
 }
 
 

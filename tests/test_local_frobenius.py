@@ -34,6 +34,8 @@ from frobstrat.local_frobenius import (
 from frobstrat.polygons import REFERENCE_POLYGONS, reference_label
 from oracles import (
     closed_form_colength,
+    dense_phi_image,
+    dense_right_multiply,
     normalize_monomials,
     rowspace_rank,
     shift_right,
@@ -279,8 +281,14 @@ def _stratified_points(p, per_b, seed):
 
 @pytest.mark.parametrize(
     "p,points",
-    [(3, fiber_points(3)), (5, fiber_points(5)), (7, _stratified_points(7, 6, 7))],
-    ids=["p3-all", "p5-all", "p7-stratified"],
+    [
+        (3, fiber_points(3)),
+        (5, fiber_points(5)),
+        (7, _stratified_points(7, 6, 7)),
+        (11, _stratified_points(11, 3, 11)),
+        (13, _stratified_points(13, 3, 13)),
+    ],
+    ids=["p3-all", "p5-all", "p7-stratified", "p11-stratified", "p13-stratified"],
 )
 def test_colength_matches_closed_form(p, points):
     ctx = LocalContext.default(p)
@@ -304,6 +312,48 @@ def test_tau_powers_and_shifts_are_in_normal_form(p):
             assert type(e.coeffs) is tuple
             assert all(type(row) is tuple for row in e.coeffs)
             assert all(type(c) is int and 0 <= c < p for row in e.coeffs for c in row)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_sparse_elements_match_dense_oracle(p):
+    """Every tau power shifted by every j in [0, precision], against grids
+    built and shifted independently; images checked at every point for
+    p <= 5."""
+    ctx = LocalContext.default(p)
+    n = ctx.precision
+    points = fiber_points(p) if p <= 5 else ()
+    for m in range(p):
+        base = tau_power(ctx, m)
+        dense = normalize_monomials(tau_monomials(m), p, n)
+        for j in range(n + 1):
+            try:
+                want = dense_right_multiply(dense, j)
+            except PrecisionExhausted:
+                with pytest.raises(PrecisionExhausted):
+                    right_multiply(base, j)
+                continue
+            got = right_multiply(base, j)
+            assert got.coeffs == want
+            rebuilt = PullbackElement(want, p)
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+            assert got.is_zero() == rebuilt.is_zero() == (not any(map(any, want)))
+            for point in points:
+                assert phi_image(got, point).coeffs == dense_phi_image(want, point)
+
+
+def test_large_precision_keeps_elements_sparse():
+    n = 10**6
+    ctx = LocalContext(3, n)
+    top = tau_power(ctx, 2)
+    e = right_multiply(top, 1)
+    assert e.terms == ((1, 2, 1), (2, 1, 1), (3, 0, 1))
+    assert e == element_from_monomials(ctx, [(2, 1, 1), (1, 2, -2), (0, 3, 1)])
+    assert e != right_multiply(tau_power(LocalContext(3, n + 1), 2), 1)  # same terms
+    assert len(repr(e)) < 100
+    assert phi_image(e, FiberPoint((0, 1, 0), 3)).coeffs == (0, 0, 1)
+    assert right_multiply(top, n - 3).terms[-1] == (n - 1, 0, 1)
+    with pytest.raises(PrecisionExhausted):
+        right_multiply(top, n - 2)
 
 
 def test_unreduced_constructors_keep_their_checks():
