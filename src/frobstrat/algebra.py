@@ -16,10 +16,23 @@ from .errors import InvalidParameters
 from .record import Record
 
 
+#: Largest integer :func:`is_prime` tests: trial division up to its square
+#: root takes about 0.15 s, and the time grows with the square root of n.
+PRIME_BOUND = 10**12
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the tiny moduli used here."""
+    """Trial-division primality test; adequate for the tiny moduli used here.
+
+    Refuses ``n`` above :data:`PRIME_BOUND` with :class:`InvalidParameters`
+    rather than run for hours.
+    """
     if n < 2:
         return False
+    if n > PRIME_BOUND:
+        raise InvalidParameters(
+            f"primality is tested only up to {PRIME_BOUND}, got {n}"
+        )
     f = 2
     while f * f <= n:
         if n % f == 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 
@@ -24,27 +23,11 @@ from .errors import (
     InvalidParameters,
     InvariantViolation,
 )
-from .record import Record
 
-PRECISION_ENV_VAR = "FROBSTRAT_PRECISION"
-
-#: Most fiber points one ``verify-claims`` call may check: the 137,257
-#: points of P^6(F_7) fit, the 2.9·10^10 points of P^10(F_11) do not.
-VERIFY_POINT_BUDGET = 10**6
-
-
-class CliConfig(Record):
-    """Resolved invocation: command, parameters, and output format."""
-
-    command: str
-    p: int = 3
-    g: int = 2
-    r: int = 3
-    d: int = 0
-    line_degree: int = -1
-    lambdas: tuple[int, ...] | None = None
-    fmt: str = "json"
-    precision: int | None = None
+#: Most items one call may build: the fiber points ``verify-claims`` checks
+#: (the 137,257 points of P^6(F_7) fit, the 2.9·10^10 points of P^10(F_11)
+#: do not) and the p + 1 vertices of ``canonical-polygon``.
+WORK_BUDGET = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +39,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    from .polygons import REFERENCE_CONFIGURATION
+
+    p, g, r, d, line_degree = REFERENCE_CONFIGURATION
     parser = _Parser(
         prog="frobstrat",
         description="Exact classification of Frobenius destabilization "
@@ -63,14 +49,14 @@ def build_parser() -> _Parser:
         "tables.",
     )
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("-p", type=int, default=3, help="prime characteristic")
-    shared.add_argument("-g", type=int, default=2, help="curve genus")
-    shared.add_argument("-r", type=int, default=3, help="bundle rank")
-    shared.add_argument("-d", type=int, default=0, help="bundle degree")
+    shared.add_argument("-p", type=int, default=p, help="prime characteristic")
+    shared.add_argument("-g", type=int, default=g, help="curve genus")
+    shared.add_argument("-r", type=int, default=r, help="bundle rank")
+    shared.add_argument("-d", type=int, default=d, help="bundle degree")
     shared.add_argument(
         "--deg-line",
         type=int,
-        default=-1,
+        default=line_degree,
         dest="deg_line",
         help="degree of the source line bundle",
     )
@@ -80,14 +66,6 @@ def build_parser() -> _Parser:
         default="json",
         dest="fmt",
         help="output format",
-    )
-    shared.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="right-exponent precision of the local model (default 3p, at "
-        "least 2p; the work does not grow with it; overrides "
-        f"${PRECISION_ENV_VAR})",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
@@ -112,41 +90,6 @@ def _parse_lambdas(raw: str) -> tuple[int, ...]:
         ) from None
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    precision = args.precision
-    if precision is None:
-        raw = os.environ.get(PRECISION_ENV_VAR)
-        if raw is not None:
-            try:
-                precision = int(raw)
-            except ValueError:
-                raise InvalidParameters(
-                    f"${PRECISION_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-    lambdas = None
-    if getattr(args, "lambdas", None) is not None:
-        lambdas = _parse_lambdas(args.lambdas)
-    return CliConfig(
-        command=args.command,
-        p=args.p,
-        g=args.g,
-        r=args.r,
-        d=args.d,
-        line_degree=args.deg_line,
-        lambdas=lambdas,
-        fmt=args.fmt,
-        precision=precision,
-    )
-
-
-def _local_context(config: CliConfig):
-    from .local_frobenius import LocalContext
-
-    if config.precision is None:
-        return LocalContext.default(config.p)
-    return LocalContext(config.p, config.precision)
-
-
 def _fmt_vertices(pg) -> str:
     return ";".join(f"{a},{b}" for a, b in pg.vertices)
 
@@ -155,27 +98,31 @@ def _opt(value) -> str:
     return "-" if value is None else str(value)
 
 
-def _cmd_polygons(config: CliConfig):
+def _cmd_polygons(args):
     from .polygons import enumerate_frobenius_polygons, vertex_lists
 
-    polys = enumerate_frobenius_polygons(config.p, config.g, config.r, config.d)
+    polys = enumerate_frobenius_polygons(args.p, args.g, args.r, args.d)
     payload = [vertex_lists(pg) for pg in polys]
     lines = [_fmt_vertices(pg) for pg in polys]
     return payload, lines, 0
 
 
-def _cmd_classify(config: CliConfig):
-    from .local_frobenius import FiberPoint, colength_profile, fiber_polygon
+def _cmd_classify(args):
+    from .local_frobenius import (
+        FiberPoint,
+        LocalContext,
+        colength_profile,
+        fiber_polygon,
+    )
     from .polygons import reference_label, vertex_lists
 
-    if config.lambdas is None:
-        raise InvalidParameters("classify requires --lambda")
-    ctx = _local_context(config)
-    point = FiberPoint(config.lambdas, config.p)
-    profile = colength_profile(ctx, point, config.g, config.line_degree)
+    lambdas = _parse_lambdas(args.lambdas)
+    ctx = LocalContext.default(args.p)
+    point = FiberPoint(lambdas, args.p)
+    profile = colength_profile(ctx, point, args.g, args.deg_line)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)
-        polygon = fiber_polygon(ctx, point, config.g, config.line_degree)
+        polygon = fiber_polygon(ctx, point, args.g, args.deg_line)
     label = None if profile.extrapolated else reference_label(polygon)
     colengths = {
         f"E{lv}": profile.colengths[lv] for lv in sorted(profile.colengths)
@@ -192,10 +139,10 @@ def _cmd_classify(config: CliConfig):
     return payload, ["\t".join(cols)], 0
 
 
-def _cmd_fiber_census(config: CliConfig):
+def _cmd_fiber_census(args):
     from .strata import fiber_census
 
-    census = fiber_census(config.p, config.g, config.line_degree)
+    census = fiber_census(args.p, args.g, args.deg_line)
     payload = {
         "closed_counts": census.closed_counts,
         "closed_forms": census.closed_forms,
@@ -215,10 +162,10 @@ def _cmd_fiber_census(config: CliConfig):
     return payload, lines, 0
 
 
-def _cmd_strata_table(config: CliConfig):
+def _cmd_strata_table(args):
     from .strata import CurveContext, stratum_table
 
-    ctx = CurveContext(config.p, config.g, config.r, config.d, config.line_degree)
+    ctx = CurveContext(args.p, args.g, args.r, args.d, args.deg_line)
     reports = stratum_table(ctx)
     payload = [report.as_json_dict() for report in reports]
     lines = []
@@ -244,23 +191,31 @@ def _cmd_strata_table(config: CliConfig):
     return payload, lines, 0
 
 
-def _cmd_canonical_polygon(config: CliConfig):
+def _cmd_canonical_polygon(args):
+    """Refused before any vertex is built when its p + 1 vertices exceed
+    :data:`WORK_BUDGET`."""
     from .polygons import canonical_polygon, canonical_stratum_dim, vertex_lists
 
-    polygon = canonical_polygon(config.p, config.g, config.r, config.d)
-    dim = canonical_stratum_dim(config.r, config.g)
+    if args.p + 1 > WORK_BUDGET:
+        raise InvalidParameters(
+            f"canonical-polygon -p {args.p} would build {args.p + 1} vertices, "
+            f"over the work budget of {WORK_BUDGET} vertices"
+        )
+    polygon = canonical_polygon(args.p, args.g, args.r, args.d)
+    dim = canonical_stratum_dim(args.r, args.g)
     payload = {"stratum_dim": dim, "vertices": vertex_lists(polygon)}
     return payload, [f"{_fmt_vertices(polygon)}\t{dim}"], 0
 
 
-def _cmd_verify_claims(config: CliConfig):
+def _cmd_verify_claims(args):
     """Membership of tau^(p-1) t^j against the monomial criterion, for the
     four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p).
 
     Refused before any point is built when P^(p-1)(F_p) has more points
-    than :data:`VERIFY_POINT_BUDGET`.
+    than :data:`WORK_BUDGET`.
     """
     from .local_frobenius import (
+        LocalContext,
         fiber_points,
         right_multiply,
         submodule_contains,
@@ -268,16 +223,16 @@ def _cmd_verify_claims(config: CliConfig):
         tau_power,
     )
 
-    ctx = _local_context(config)
-    p = config.p
+    p = args.p
+    ctx = LocalContext.default(p)  # refuses p < 2 before p - 1 divides below
     # From p = 100 on, (p^p - 1)/(p - 1) exceeds 10^190: over the budget, and
     # too long to be worth computing in full.
     huge = p >= 100
     count = f"({p}^{p} - 1)/{p - 1}" if huge else (p**p - 1) // (p - 1)
-    if huge or count > VERIFY_POINT_BUDGET:
+    if huge or count > WORK_BUDGET:
         raise InvalidParameters(
             f"verify-claims -p {p} would check {count} fiber points, over "
-            f"the work budget of {VERIFY_POINT_BUDGET} points"
+            f"the work budget of {WORK_BUDGET} points"
         )
     points = fiber_points(p)
     top = tau_power(ctx, p - 1)
@@ -310,8 +265,9 @@ def _cmd_verify_claims(config: CliConfig):
     return results, lines, 0 if all_ok else 2
 
 
-#: Command name -> (help line, handler).  A handler imports the layers it
-#: uses and returns the JSON payload, the TSV lines and the exit code.
+#: Command name -> (help line, handler).  A handler takes the parsed
+#: arguments, imports the layers it uses and returns the JSON payload, the
+#: TSV lines and the exit code.
 COMMANDS = {
     "polygons": ("enumerate all destabilized pull-back polygons", _cmd_polygons),
     "classify": ("classify one fiber point into its polygon stratum", _cmd_classify),
@@ -331,35 +287,22 @@ COMMANDS = {
 }
 
 
-def run(config: CliConfig) -> int:
-    """Dispatch one resolved invocation; returns the process exit code."""
-    if config.command not in COMMANDS:
-        print(f"frobstrat: unknown command {config.command!r}", file=sys.stderr)
-        return 1
+def main(argv=None) -> int:
+    """Parse ``argv`` and run its command; returns the process exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        payload, lines, exit_code = COMMANDS[config.command][1](config)
+        payload, lines, exit_code = COMMANDS[args.command][1](args)
     except InvariantViolation as exc:
         print(f"frobstrat: internal invariant violated: {exc}", file=sys.stderr)
         return 2
     except FrobstratError as exc:
         print(f"frobstrat: {exc}", file=sys.stderr)
         return 1
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print("\n".join(lines))
     return exit_code
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except FrobstratError as exc:
-        print(f"frobstrat: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -49,11 +49,17 @@ from .errors import (
     ModulusMismatch,
     PrecisionExhausted,
 )
-from .polygons import LatticePolygon, _upper_hull, make_polygon
+from .polygons import (
+    REFERENCE_CONFIGURATION,
+    LatticePolygon,
+    _upper_hull,
+    make_polygon,
+)
 from .record import Record
 
-#: Parameters (p, genus, line degree) the degree bookkeeping is exact for.
-REFERENCE_PARAMETERS = (3, 2, -1)
+#: Parameters (p, genus, line degree) the degree bookkeeping is exact for:
+#: the reference configuration without its rank and degree.
+REFERENCE_PARAMETERS = REFERENCE_CONFIGURATION[:2] + REFERENCE_CONFIGURATION[4:]
 
 
 class LocalContext(Record):
@@ -102,17 +108,17 @@ class PullbackElement(Record):
     modulus: int
 
     def __init__(self, coeffs, modulus: int) -> None:
-        self._check(coeffs, modulus)
-        self._adopt_grid(tuple(_reduce(row, modulus) for row in coeffs), modulus)
-
-    @classmethod
-    def _from_reduced(cls, coeffs, modulus: int) -> PullbackElement:
-        """Element on a tuple of int tuples whose entries already lie in
-        [0, modulus): the checks of the constructor without the reduction."""
-        self = object.__new__(cls)
-        self._check(coeffs, modulus)
-        self._adopt_grid(coeffs, modulus)
-        return self
+        require_prime(modulus)
+        if len(coeffs) != modulus:
+            raise InvalidParameters("coefficient grid must have p rows")
+        width = len(coeffs[0])
+        if any(len(row) != width for row in coeffs):
+            raise InvalidParameters("coefficient rows must share one length")
+        columns = enumerate(zip(*(_reduce(row, modulus) for row in coeffs)))
+        terms = tuple((j, i, c) for j, col in columns for i, c in enumerate(col) if c)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "precision", width)
+        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def _from_terms(cls, terms, precision: int, modulus: int) -> PullbackElement:
@@ -123,22 +129,6 @@ class PullbackElement(Record):
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "modulus", modulus)
         return self
-
-    @staticmethod
-    def _check(coeffs, modulus: int) -> None:
-        require_prime(modulus)
-        if len(coeffs) != modulus:
-            raise InvalidParameters("coefficient grid must have p rows")
-        width = len(coeffs[0])
-        if any(len(row) != width for row in coeffs):
-            raise InvalidParameters("coefficient rows must share one length")
-
-    def _adopt_grid(self, grid, modulus: int) -> None:
-        columns = enumerate(zip(*grid))
-        terms = tuple((j, i, c) for j, col in columns for i, c in enumerate(col) if c)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "precision", len(grid[0]))
-        object.__setattr__(self, "modulus", modulus)
 
     @property
     def coeffs(self) -> tuple[tuple[int, ...], ...]:
@@ -336,8 +326,8 @@ class ColengthProfile(Record):
     ``intersection_degrees[l]`` the resulting degree of the intersection
     of the pulled-back subsheaf with level l: the level degree
     Σ_{m=l}^{p-1} (line_degree + m(2g - 2)) minus the colength.
-    ``extrapolated`` marks parameters away from the reference
-    configuration (3, 2, -1), where the degree bookkeeping is a formal
+    ``extrapolated`` marks parameters away from
+    :data:`REFERENCE_PARAMETERS`, where the degree bookkeeping is a formal
     extension rather than an established classification.
     """
 
@@ -388,8 +378,8 @@ def fiber_polygon(
     strictly below the envelope and drop out, which is what shortens the
     chain in the least destabilized case.
 
-    Outside the reference configuration (p, g, line degree) = (3, 2, -1)
-    the result is flagged with :class:`ExtrapolationWarning`.
+    Away from :data:`REFERENCE_PARAMETERS` the result is flagged with
+    :class:`ExtrapolationWarning`.
     """
     profile = colength_profile(ctx, point, genus, line_degree)
     if profile.extrapolated:

@@ -347,8 +347,13 @@ def vertex_lists(pg: LatticePolygon) -> list[list[int]]:
     return [[a, b] for a, b in pg.vertices]
 
 
-#: The four destabilized pull-back shapes in the reference configuration
-#: (p, g, r, d) = (3, 2, 3, 0), keyed by their conventional stratum ids.
+#: The reference configuration (p, g, r, d, line degree): the one case the
+#: stratification theorem covers, the CLI's defaults, and the only point
+#: where the stratum catalogue and the degree bookkeeping are established.
+REFERENCE_CONFIGURATION = (3, 2, 3, 0, -1)
+
+#: The four destabilized pull-back shapes in the reference configuration,
+#: keyed by their conventional stratum ids.
 REFERENCE_POLYGONS: dict[str, LatticePolygon] = {
     "P1": make_polygon([(0, 0), (1, 1), (3, 0)]),
     "P2": make_polygon([(0, 0), (2, 1), (3, 0)]),

@@ -31,6 +31,7 @@ from .local_frobenius import (
     fiber_polygon,
 )
 from .polygons import (
+    REFERENCE_CONFIGURATION,
     REFERENCE_POLYGONS,
     LatticePolygon,
     canonical_polygon,
@@ -43,9 +44,6 @@ from .polygons import (
     vertex_lists,
 )
 from .record import Record
-
-#: Reference configuration for the stratum tables.
-REFERENCE_CONTEXT = (3, 2, 3, 0, -1)  # (p, g, r, d, line_degree)
 
 # Closed fiber strata in the reference configuration are nested projective
 # spaces P^2 ⊃ P^1 ⊃ {point}; we record their dimensions.  The open strata
@@ -74,13 +72,15 @@ _CLOSURE_NOTES = {
 
 
 class CurveContext(Record):
-    """Ambient quadruple (p, g, r, d) plus the source line-bundle degree."""
+    """Ambient quadruple (p, g, r, d) plus the source line-bundle degree;
+    each defaults to its value in the reference configuration."""
 
-    p: int = 3
-    g: int = 2
-    r: int = 3
-    d: int = 0
-    line_degree: int = -1
+    p: int
+    g: int
+    r: int
+    d: int
+    line_degree: int
+    p, g, r, d, line_degree = REFERENCE_CONFIGURATION
 
     def __post_init__(self) -> None:
         require_prime(self.p)
@@ -200,9 +200,9 @@ class FiberCensus(Record):
 def fiber_census(p: int, g: int, line_degree: int) -> FiberCensus:
     """Classify every point of P^{p-1}(F_p) and tally the strata.
 
-    Only the reference configuration (3, 2, -1) is accepted: away from it
-    the stratum catalogue (and hence the labels and closed forms) is not
-    established.  Per-point classification at other parameters remains
+    Only the (p, g, line degree) of the reference configuration is
+    accepted: away from it the stratum catalogue (and hence the labels and
+    closed forms) is not established.  Per-point classification at other parameters remains
     available through :func:`frobstrat.local_frobenius.fiber_polygon`.
     """
     if (p, g, line_degree) != REFERENCE_PARAMETERS:
@@ -268,10 +268,10 @@ def stratum_table(ctx: CurveContext) -> tuple[StratumReport, ...]:
     :class:`InvariantViolation` since it can only indicate a bug.
     """
     key = (ctx.p, ctx.g, ctx.r, ctx.d, ctx.line_degree)
-    if key != REFERENCE_CONTEXT:
+    if key != REFERENCE_CONFIGURATION:
         raise InvalidParameters(
             f"stratum table is defined for (p, g, r, d, line degree) = "
-            f"{REFERENCE_CONTEXT}, got {key}"
+            f"{REFERENCE_CONFIGURATION}, got {key}"
         )
     census = fiber_census(ctx.p, ctx.g, ctx.line_degree)
     _check_table_consistency(ctx, census)

@@ -7,7 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from frobstrat.algebra import FpMatrix, TruncSeries, is_prime, matrix_rank
+from frobstrat.algebra import PRIME_BOUND, FpMatrix, TruncSeries, is_prime, matrix_rank
 from frobstrat.errors import (
     DivisionByZero,
     InvalidParameters,
@@ -22,6 +22,12 @@ SMALL_PRIMES = (2, 3, 5, 7)
 def test_is_prime_small_window():
     expected = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     assert {n for n in range(31) if is_prime(n)} == expected
+
+
+def test_is_prime_refuses_above_its_bound():
+    assert not is_prime(PRIME_BOUND)
+    with pytest.raises(InvalidParameters, match=str(PRIME_BOUND)):
+        is_prime(PRIME_BOUND + 1)  # 73 · 137 · 99990001: quick without the bound
 
 
 def test_nonprime_modulus_rejected():

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from frobstrat.cli import main
+from frobstrat.cli import COMMANDS, build_parser, main
 
 GOLDEN_CLASSIFY = (
     '{"colengths":{"E1":2,"E2":1},"polygon_id":"P4",'
@@ -193,31 +193,45 @@ def test_invalid_parameters_exit_one(capsys):
 
 
 def test_precision_flag_floor(capsys):
-    code, _, err = run_cli(
-        capsys, ["classify", "--lambda", "1,0,0", "--precision", "5"]
-    )
-    assert code == 1
-    assert "precision" in err
-    code, _, _ = run_cli(
-        capsys, ["classify", "--lambda", "1,0,0", "--precision", "6"]
-    )
-    assert code == 0
+    """There is no precision flag: the local model always runs at the
+    library default, so ``--precision`` is a usage error at any value."""
+    for value in ("5", "6", "9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--lambda", "1,0,0", "--precision", value])
+        assert exc.value.code == 1
+        assert "usage" in capsys.readouterr().err
 
 
 def test_precision_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FROBSTRAT_PRECISION", "5")
-    code, _, err = run_cli(capsys, ["classify", "--lambda", "1,0,0"])
-    assert code == 1
-    # a flag overrides the environment
-    code, out, _ = run_cli(
-        capsys, ["classify", "--lambda", "1,0,0", "--precision", "9"]
-    )
-    assert code == 0
-    assert out.strip() == GOLDEN_CLASSIFY
-    monkeypatch.setenv("FROBSTRAT_PRECISION", "not-a-number")
-    code, _, err = run_cli(capsys, ["classify", "--lambda", "1,0,0"])
-    assert code == 1
-    assert "FROBSTRAT_PRECISION" in err
+    """The environment does not set the precision either."""
+    for raw in ("5", "not-a-number"):
+        monkeypatch.setenv("FROBSTRAT_PRECISION", raw)
+        code, out, err = run_cli(capsys, ["classify", "--lambda", "1,0,0"])
+        assert (code, err) == (0, "")
+        assert out.strip() == GOLDEN_CLASSIFY
+
+
+def test_reference_configuration_has_one_definition():
+    from frobstrat.local_frobenius import FiberPoint, LocalContext, colength_profile
+    from frobstrat.polygons import REFERENCE_CONFIGURATION
+    from frobstrat.strata import CurveContext
+
+    parser = build_parser()
+    for name in COMMANDS:
+        extra = ["--lambda", "1,0,0"] if name == "classify" else []
+        args = parser.parse_args([name, *extra])
+        assert (args.p, args.g, args.r, args.d, args.deg_line) == REFERENCE_CONFIGURATION
+    assert CurveContext() == CurveContext(*REFERENCE_CONFIGURATION)
+    p, g, _, _, line_degree = REFERENCE_CONFIGURATION
+
+    def extrapolated(p, g, line_degree):
+        point = FiberPoint((1,) + (0,) * (p - 1), p)
+        return colength_profile(LocalContext.default(p), point, g, line_degree).extrapolated
+
+    assert not extrapolated(p, g, line_degree)
+    assert extrapolated(5, g, line_degree)
+    assert extrapolated(p, g + 1, line_degree)
+    assert extrapolated(p, g, line_degree + 1)
 
 
 def test_module_invocation_smoke():
@@ -273,25 +287,17 @@ def _run_capped(env, *argv, timeout=60):
     )
 
 
-def test_work_does_not_grow_with_precision(child_env):
-    argv = ("classify", "--lambda", "1,0,0")
-    huge = _run_capped(child_env, *argv, "--precision", str(10**9), timeout=30)
-    assert huge.returncode == 0, huge.stderr
-    assert huge.stdout == _run_capped(child_env, *argv).stdout
-    assert huge.stdout.strip() == GOLDEN_CLASSIFY
-
-
 @pytest.mark.parametrize(
     "p,count", [(11, "28531167061"), (101, "(101^101 - 1)/100")], ids=["p11", "p101"]
 )
 def test_verify_claims_refuses_over_budget(child_env, p, count):
-    from frobstrat.cli import VERIFY_POINT_BUDGET
+    from frobstrat.cli import WORK_BUDGET
 
     proc = _run_capped(child_env, "verify-claims", "-p", str(p), timeout=30)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert count in proc.stderr
-    assert str(VERIFY_POINT_BUDGET) in proc.stderr
+    assert str(WORK_BUDGET) in proc.stderr
 
 
 def test_verify_claims_at_p7_is_within_budget(child_env):
@@ -299,3 +305,27 @@ def test_verify_claims_at_p7_is_within_budget(child_env):
     assert proc.returncode == 0, proc.stderr
     n = (7**7 - 1) // 6
     assert proc.stdout.splitlines() == [f"{c}\tpass\t{n}\t{n}" for c in "abcd"]
+
+
+def test_canonical_polygon_refuses_over_budget(child_env):
+    """p + 1 vertices over the budget are refused before any is built."""
+    from frobstrat.cli import WORK_BUDGET
+
+    p = 1000000007  # prime; its vertices would take about 400 GiB
+    proc = _run_capped(child_env, "canonical-polygon", "-p", str(p), timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"{p + 1} vertices" in proc.stderr
+    assert str(WORK_BUDGET) in proc.stderr
+
+
+def test_huge_p_is_refused_by_the_primality_bound(child_env):
+    """Trial division of a 25-digit -p would run for days; it is refused."""
+    from frobstrat.algebra import PRIME_BOUND
+
+    p = str(10**24 + 7)
+    for argv in (("polygons", "-p", p), ("classify", "-p", p, "--lambda", "1")):
+        proc = _run_capped(child_env, *argv, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert str(PRIME_BOUND) in proc.stderr

@@ -358,11 +358,11 @@ def test_large_precision_keeps_elements_sparse():
 
 def test_unreduced_constructors_keep_their_checks():
     with pytest.raises(InvalidParameters):
-        PullbackElement._from_reduced(((0,), (0,)), 3)  # p rows
+        PullbackElement(((0,), (0,)), 3)  # p rows
     with pytest.raises(InvalidParameters):
-        PullbackElement._from_reduced(((0, 0), (0,), (0,)), 3)  # equal widths
+        PullbackElement(((0, 0), (0,), (0,)), 3)  # equal widths
     with pytest.raises(InvalidParameters):
-        PullbackElement._from_reduced(((0,),) * 4, 4)  # prime modulus
+        PullbackElement(((0,),) * 4, 4)  # prime modulus
     with pytest.raises(InvalidParameters):
         FpMatrix._from_reduced((), 3)  # non-empty
     with pytest.raises(InvalidParameters):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from frobstrat.algebra import FpMatrix, TruncSeries
-from frobstrat.cli import CliConfig
 from frobstrat.local_frobenius import (
     ColengthProfile,
     FiberPoint,
@@ -32,7 +31,6 @@ VALUES = [
     (CurveContext, (3, 2, 3, 0, -1)),
     (StratumReport, ("P4", P4, 0, 3, 2, "already closed", None)),
     (FiberCensus, (3, 1, {"P4": 1}, {"P4+": 1}, {"P4": "1"}, {"P4+": "1"})),
-    (CliConfig, ("classify", 3, 2, 3, 0, -1, (1, 0, 0), "json", None)),
 ]
 IDS = [cls.__name__ for cls, _ in VALUES]
 
@@ -82,7 +80,6 @@ def test_missing_or_unknown_field_raises_type_error(cls, args):
 
 def test_defaults_fill_missing_fields():
     assert CurveContext() == CurveContext(3, 2, 3, 0, -1)
-    assert CliConfig("polygons").fmt == "json"
 
 
 def test_repr_names_every_field():
