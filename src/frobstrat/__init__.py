@@ -30,7 +30,6 @@ _EXPORTS = {
     "algebra": ("FpMatrix", "TruncSeries", "is_prime", "matrix_rank"),
     "errors": (
         "BadStart",
-        "DivisionByZero",
         "EndpointMismatch",
         "ExtrapolationWarning",
         "FrobstratError",
@@ -40,7 +39,6 @@ _EXPORTS = {
         "ModulusMismatch",
         "NotConvex",
         "PrecisionExhausted",
-        "PrecisionMismatch",
         "UnsupportedCharacteristic",
     ),
     "local_frobenius": (
@@ -79,7 +77,6 @@ _EXPORTS = {
         "slope_gaps",
         "slopes",
         "vertex_lists",
-        "vertexwise_above",
     ),
     "strata": (
         "CurveContext",

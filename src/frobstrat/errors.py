@@ -9,14 +9,6 @@ class ModulusMismatch(FrobstratError):
     """Two operands carry different prime moduli."""
 
 
-class PrecisionMismatch(FrobstratError):
-    """Two truncated series carry different precisions."""
-
-
-class DivisionByZero(FrobstratError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class InvalidParameters(FrobstratError, ValueError):
     """Arguments outside an operation's documented domain."""
 

@@ -340,8 +340,9 @@ class ColengthProfile(Record):
 
 
 def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
-    """Degree of filtration level ``level``: the sum of its graded degrees."""
-    return sum(line_degree + m * (2 * genus - 2) for m in range(level, p))
+    """Degree of filtration level ``level``: the sum of its graded degrees
+    line_degree + m(2g - 2) over level <= m < p, in closed form."""
+    return (p - level) * (line_degree + (genus - 1) * (p + level - 1))
 
 
 def colength_profile(

@@ -4,12 +4,13 @@ A polygon here is the graph of a piecewise-linear concave function from
 (0, 0) to (r, D) with integral vertices and strictly decreasing segment
 slopes: the shape of a Harder-Narasimhan polygon.  This module provides
 construction and canonical form, exact-rational slope and height queries,
-the pointwise domination order, duals, exhaustive enumeration of the
-shapes admissible for Frobenius pull-backs of semistable bundles, and the
-extremal shape realised by direct images under Frobenius together with
-the dimension of its stratum.
+the pointwise domination order, duals, the shapes admissible for Frobenius
+pull-backs of semistable bundles (found by one exhaustive walk over vertex
+chains inside the slope-drop and spread windows), and the extremal shape
+realised by direct images under Frobenius with the dimension of its stratum.
 
-Heights and slopes are :class:`fractions.Fraction` values throughout; two
+Heights and slopes are :class:`fractions.Fraction` values at the API;
+convexity is decided by the integer cross product :func:`_cross`.  Two
 polygons are equal exactly when their canonical vertex chains coincide.
 """
 
@@ -39,13 +40,6 @@ def _lattice_points(points) -> list[tuple[int, int]]:
         raise _not_integral(points) from None
 
 
-def _segment_slopes(vertices) -> list[Fraction]:
-    return [
-        Fraction(y1 - y0, x1 - x0)
-        for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])
-    ]
-
-
 class LatticePolygon(Record):
     """Canonical vertex chain: starts at (0, 0), slopes strictly decreasing.
 
@@ -66,11 +60,12 @@ class LatticePolygon(Record):
         ranks = [a for a, _ in verts]
         if any(x >= y for x, y in zip(ranks, ranks[1:])):
             raise InvalidParameters("vertex ranks must strictly increase")
-        segs = _segment_slopes(verts)
-        for cur, nxt in zip(segs, segs[1:]):
-            if nxt >= cur:
+        # With ranks increasing, a turn that is not strictly clockwise is
+        # a slope that does not strictly decrease.
+        for i in range(len(verts) - 2):
+            if _cross(*verts[i : i + 3]) >= 0:
                 raise NotConvex(
-                    f"segment slopes must strictly decrease, got {segs}"
+                    f"segment slopes must strictly decrease, got {verts}"
                 )
 
     @property
@@ -150,7 +145,10 @@ def _cross(o, a, b) -> int:
 
 def slopes(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Strictly decreasing segment slopes, one per segment."""
-    return tuple(_segment_slopes(pg.vertices))
+    verts = pg.vertices
+    return tuple(
+        Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
+    )
 
 
 def slope_gaps(pg: LatticePolygon) -> tuple[Fraction, ...]:
@@ -189,20 +187,6 @@ def dominates(a: LatticePolygon, b: LatticePolygon) -> bool:
     return all(height(a, x) >= height(b, x) for x in range(a.rank + 1))
 
 
-def vertexwise_above(a: LatticePolygon, b: LatticePolygon) -> bool:
-    """Weaker comparison: every vertex of ``a`` lies on or above ``b``.
-
-    Unlike :func:`dominates` this relation is NOT antisymmetric (two
-    distinct polygons can satisfy it in both directions), so it does not
-    define a partial order.  Exposed for transparency only.
-    """
-    if a.endpoint != b.endpoint:
-        raise EndpointMismatch(
-            f"cannot compare endpoints {a.endpoint} and {b.endpoint}"
-        )
-    return all(y >= height(b, x) for x, y in a.vertices)
-
-
 def dual_polygon(pg: LatticePolygon) -> LatticePolygon:
     """Polygon of the dual family: reflect (a, b) to (r - a, b - D).
 
@@ -225,25 +209,21 @@ def satisfies_spread_bound(pg: LatticePolygon, p: int, g: int) -> bool:
     return segs[0] - segs[-1] <= min(pg.rank - 1, p - 1) * (2 * g - 2)
 
 
-# Integer windows derived from rational slope bounds.
-def _strict_above(q: Fraction) -> int:
-    return math.floor(q) + 1
-
-
-def _strict_below(q: Fraction) -> int:
-    return math.ceil(q) - 1
-
-
 def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
     """All destabilized pull-back shapes from (0, 0) to (r, p*d).
 
     Enumerates canonical polygons with at least two segments, integral
     vertices, strictly decreasing slopes, successive slope drops at most
-    2g - 2 and total slope spread at most min(r-1, p-1)(2g-2).  The search
-    iterates over compositions of r into segment ranks and integer segment
-    degrees inside the slope windows those constraints allow, so it is
-    exhaustive by construction.  Members are sorted by their height
-    vectors at integer abscissae (lexicographically), a total order
+    2g - 2 and total slope spread at most min(r-1, p-1)(2g-2).  One walk
+    extends a vertex chain a segment at a time, trying every rank rk that
+    stays inside r and every integer degree in the window the bounds
+    leave: (rk*chord, rk*(chord + spread)] for the first segment, which
+    must rise above the chord of slope p*d/r, and [rk*(prev - gap),
+    rk*prev) after a segment of slope prev.  The segment reaching x = r
+    has its degree fixed by the endpoint and is kept when its slope meets
+    the same bounds.  The walk is exhaustive by construction, and strictly
+    decreasing slopes make each chain canonical and reached once.  Members
+    are sorted by their height vectors at integer abscissae, a total order
     refining domination.
     """
     require_prime(p)
@@ -252,62 +232,30 @@ def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
     if r < 2:
         raise InvalidParameters(f"rank must be at least 2, got {r}")
     total = p * d
-    gap_cap = 2 * g - 2
-    spread_cap = min(r - 1, p - 1) * gap_cap
+    gap = 2 * g - 2
+    spread = min(r - 1, p - 1) * gap
     chord = Fraction(total, r)
-    found: set[LatticePolygon] = set()
-    for ranks in _compositions(r):
-        for degs in _degree_vectors(ranks, total, chord, gap_cap, spread_cap):
-            verts = [(0, 0)]
-            x = y = 0
-            for rk, dy in zip(ranks, degs):
-                x += rk
-                y += dy
-                verts.append((x, y))
-            found.add(make_polygon(verts))
-    ordered = sorted(found, key=integer_heights)
-    return PolygonSet(tuple(ordered), p, g, r, d)
+    found: list[LatticePolygon] = []
 
+    def walk(verts, first, prev):
+        x, y = verts[-1]
+        s = Fraction(total - y, r - x)  # the segment that closes the chain
+        if first is not None and prev - gap <= s < prev and first - s <= spread:
+            found.append(make_polygon(verts + [(r, total)]))
+        for rk in range(1, r - x):
+            if first is None:
+                lo = math.floor(rk * chord) + 1
+                hi = math.floor(rk * (chord + spread))
+            else:
+                lo = math.ceil(rk * (prev - gap))
+                hi = math.ceil(rk * prev) - 1
+            for dy in range(lo, hi + 1):
+                s = Fraction(dy, rk)
+                walk(verts + [(x + rk, y + dy)], s if first is None else first, s)
 
-def _compositions(r: int):
-    """Ordered compositions of r into at least two positive parts."""
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            if len(acc) >= 2:
-                yield tuple(acc)
-            return
-        for part in range(1, remaining + 1):
-            yield from rec(remaining - part, acc + [part])
-
-    yield from rec(r, [])
-
-
-def _degree_vectors(ranks, total, chord, gap_cap, spread_cap):
-    """Integer degree vectors whose slopes satisfy all admissibility bounds."""
-    m = len(ranks)
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx, y, degs, first, prev):
-        rk = ranks[idx]
-        if idx == m - 1:
-            dy = total - y
-            s = Fraction(dy, rk)
-            if s < prev and prev - s <= gap_cap and first - s <= spread_cap:
-                out.append(tuple(degs) + (dy,))
-            return
-        if idx == 0:
-            lo = _strict_above(rk * chord)
-            hi = math.floor(rk * (chord + spread_cap))
-        else:
-            lo = math.ceil(rk * (prev - gap_cap))
-            hi = _strict_below(rk * prev)
-        for dy in range(lo, hi + 1):
-            s = Fraction(dy, rk)
-            rec(idx + 1, y + dy, degs + [dy], s if first is None else first, s)
-
-    rec(0, 0, [], None, None)
-    return out
+    walk([(0, 0)], None, None)
+    found.sort(key=integer_heights)
+    return PolygonSet(tuple(found), p, g, r, d)
 
 
 def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:

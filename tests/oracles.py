@@ -5,8 +5,9 @@ code it checks: integer-polynomial convolution for series products,
 row-space enumeration for matrix ranks, one-step-at-a-time monomial
 rewriting for the pullback normal form, dense coefficient grids for the
 shifts and images of pullback elements, and a box search over vertex
-chains for the polygon enumeration.  Prime-field scalars and the
-truncated series product live here too, since only the tests use them.
+chains for the polygon enumeration.  Prime-field scalars, the truncated
+series product with the two errors only it and the scalars raise, and the
+vertexwise polygon comparison live here too, since only the tests use them.
 """
 
 from __future__ import annotations
@@ -16,12 +17,21 @@ from fractions import Fraction
 
 from frobstrat.algebra import TruncSeries, require_prime
 from frobstrat.errors import (
-    DivisionByZero,
+    EndpointMismatch,
+    FrobstratError,
     ModulusMismatch,
     PrecisionExhausted,
-    PrecisionMismatch,
 )
+from frobstrat.polygons import height
 from frobstrat.record import Record
+
+
+class PrecisionMismatch(FrobstratError):
+    """Two truncated series carry different precisions."""
+
+
+class DivisionByZero(FrobstratError, ZeroDivisionError):
+    """Multiplicative inverse of zero requested."""
 
 
 class FieldElem(Record):
@@ -179,6 +189,20 @@ def closed_form_colength(p: int, b: int, level: int) -> int:
     otherwise, and the colength is p minus it.
     """
     return p if b >= level else p - level + b
+
+
+def vertexwise_above(a, b) -> bool:
+    """Weaker comparison: every vertex of ``a`` lies on or above ``b``.
+
+    Unlike :func:`frobstrat.polygons.dominates` this relation is NOT
+    antisymmetric (two distinct polygons can satisfy it in both
+    directions), so it does not define a partial order.
+    """
+    if a.endpoint != b.endpoint:
+        raise EndpointMismatch(
+            f"cannot compare endpoints {a.endpoint} and {b.endpoint}"
+        )
+    return all(y >= height(b, x) for x, y in a.vertices)
 
 
 def brute_enumerate_polygons(p, g, r, d):

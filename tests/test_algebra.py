@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frobstrat.algebra import PRIME_BOUND, FpMatrix, TruncSeries, is_prime, matrix_rank
-from frobstrat.errors import (
+from frobstrat.errors import InvalidParameters, ModulusMismatch
+from oracles import (
     DivisionByZero,
-    InvalidParameters,
-    ModulusMismatch,
+    FieldElem,
     PrecisionMismatch,
+    convolve_mod,
+    rowspace_rank,
+    series_mul,
 )
-from oracles import FieldElem, convolve_mod, rowspace_rank, series_mul
 
 SMALL_PRIMES = (2, 3, 5, 7)
 

@@ -1,10 +1,13 @@
-"""The colength path keeps the call structure the benchmark's traced runs pin.
+"""The colength path and the polygon enumeration keep the call structure
+the benchmark's traced runs pin.
 
-``perfbench`` counts the calls one ``fiber_polygon`` makes to each traced
-function and refuses a traced run whose counts differ from the closed
-forms in ``perfbench/workloads.py``.  This test applies the same check
-with the same tracer, so a change that alters the call structure (say, a
-cache on ``tau_power``) fails here and not only in a traced benchmark run.
+``perfbench`` counts the calls one ``fiber_polygon`` or one enumeration
+makes to each traced function and refuses a traced run whose counts
+differ from the closed forms in ``perfbench/workloads.py``.  These tests
+apply the same check with the same tracer, so a change that alters the
+call structure (say, a cache on ``tau_power``, or a second
+``make_polygon`` per emitted polygon) fails here and not only in a traced
+benchmark run.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import frobstrat.local_frobenius as lf
+import frobstrat.polygons as pl
 from frobstrat.errors import ExtrapolationWarning
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +46,24 @@ def test_fiber_polygon_call_counts_match_the_benchmark_guard(p):
         tracer.uninstall()
     calls, _, _ = tracer.totals()
     assert calls == workloads.polygon_counts(p)
+
+
+@pytest.mark.parametrize("rung", ((3, 2, 3, 0), (5, 3, 5, 0), (7, 3, 6, 1)))
+def test_enumeration_call_counts_and_output_match_the_benchmark(rung):
+    tracing, workloads = _load("tracing"), _load("workloads")
+    want = workloads.load_expected()["enumerate"][",".join(map(str, rung))]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        polygons = pl.enumerate_frobenius_polygons(*rung)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.totals()
+    n = want["count"]
+    assert calls == {
+        "polygons.enumerate_frobenius_polygons": 1,
+        "algebra.require_prime": 1,
+        "polygons.make_polygon": n,
+        "polygons.integer_heights": n,
+    }
+    assert workloads.digest(workloads.vertices_text(polygons)) == want["sha256"]

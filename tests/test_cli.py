@@ -307,6 +307,29 @@ def test_verify_claims_at_p7_is_within_budget(child_env):
     assert proc.stdout.splitlines() == [f"{c}\tpass\t{n}\t{n}" for c in "abcd"]
 
 
+@pytest.mark.parametrize(
+    "p,count", [(43, "1138984"), (101, "34683400")], ids=["p43", "p101"]
+)
+def test_classify_refuses_over_budget(child_env, p, count):
+    """p^2(p^2 - 1)/3 tau monomials over the budget are refused before any
+    profile is built (p = 101 took 41.6 s without the budget)."""
+    from frobstrat.cli import WORK_BUDGET
+
+    argv = ("classify", "-p", str(p), "--lambda", ",".join(["1"] * p))
+    proc = _run_capped(child_env, *argv, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"{count} tau monomials" in proc.stderr
+    assert str(WORK_BUDGET) in proc.stderr
+
+
+def test_classify_at_p41_is_within_budget(child_env):
+    argv = ("classify", "-p", "41", "--lambda", ",".join(["1"] * 41), "--format", "tsv")
+    proc = _run_capped(child_env, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip("\n").split("\t")[2:] == ["41"] * 40  # E1..E40
+
+
 def test_canonical_polygon_refuses_over_budget(child_env):
     """p + 1 vertices over the budget are refused before any is built."""
     from frobstrat.cli import WORK_BUDGET

@@ -25,6 +25,7 @@ from frobstrat.local_frobenius import (
     element_from_monomials,
     fiber_points,
     fiber_polygon,
+    level_degree,
     phi_image,
     right_multiply,
     submodule_contains,
@@ -32,6 +33,7 @@ from frobstrat.local_frobenius import (
     tau_power,
 )
 from frobstrat.polygons import REFERENCE_POLYGONS, reference_label
+from frobstrat.strata import filtration_degrees
 from oracles import (
     closed_form_colength,
     dense_phi_image,
@@ -411,6 +413,15 @@ def test_colength_profile_degree_identity():
                 profile.intersection_degrees[level]
                 == level_degrees[level] - profile.colengths[level]
             )
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("g", (2, 3, 4))
+def test_level_degree_matches_filtration_degrees(p, g):
+    for line_degree in range(-3, 4):
+        graded = [deg for _, deg in filtration_degrees(p, g, line_degree)]
+        for level in range(p):
+            assert level_degree(p, g, line_degree, level) == sum(graded[level:])
 
 
 def test_fiber_polygon_extrapolation_warns():

@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 
 from frobstrat.polygons import (
     REFERENCE_POLYGONS,
+    LatticePolygon,
     canonical_polygon,
     dominates,
     dual_polygon,
@@ -23,7 +24,6 @@ from frobstrat.polygons import (
     satisfies_spread_bound,
     slope_gaps,
     slopes,
-    vertexwise_above,
 )
 from frobstrat.errors import (
     BadStart,
@@ -31,7 +31,7 @@ from frobstrat.errors import (
     InvalidParameters,
     NotConvex,
 )
-from oracles import brute_enumerate_polygons
+from oracles import brute_enumerate_polygons, vertexwise_above
 
 P1 = REFERENCE_POLYGONS["P1"]
 P2 = REFERENCE_POLYGONS["P2"]
@@ -50,6 +50,10 @@ def test_already_canonical_chain_kept():
 def test_nonconvex_chain_rejected():
     with pytest.raises(NotConvex):
         make_polygon([(0, 0), (1, 0), (2, 1)])
+    # The constructor keeps no collinear vertex and no concave turn.
+    for chain in ([(0, 0), (1, 1), (2, 2), (3, 0)], [(0, 0), (1, 0), (2, 1), (3, 0)]):
+        with pytest.raises(NotConvex):
+            LatticePolygon(chain)
 
 
 def test_bad_start_rejected():
@@ -139,7 +143,16 @@ def test_enumerate_sheared_degree():
 
 @pytest.mark.parametrize(
     "params",
-    [(3, 2, 3, 0), (2, 2, 2, 0), (3, 2, 3, 3), (5, 2, 2, 0), (3, 3, 3, 0), (2, 3, 4, -1)],
+    # (2, 2, 3, -2) has a first slope of 0, which a falsy test of it mishandles.
+    [
+        (3, 2, 3, 0),
+        (2, 2, 2, 0),
+        (3, 2, 3, 3),
+        (5, 2, 2, 0),
+        (3, 3, 3, 0),
+        (2, 3, 4, -1),
+        (2, 2, 3, -2),
+    ],
 )
 def test_enumerate_matches_box_search_oracle(params):
     p, g, r, d = params
