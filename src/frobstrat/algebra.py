@@ -74,11 +74,25 @@ class TruncSeries(Record):
     modulus: int
 
     def __init__(self, coeffs, modulus: int) -> None:
+        self._check(coeffs, modulus)
+        object.__setattr__(self, "coeffs", _reduce(coeffs, modulus))
+        object.__setattr__(self, "modulus", modulus)
+
+    @classmethod
+    def _from_reduced(cls, coeffs, modulus: int) -> TruncSeries:
+        """Series on a tuple of ints that already lie in [0, modulus): the
+        checks of the constructor without the reduction."""
+        self = object.__new__(cls)
+        self._check(coeffs, modulus)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "modulus", modulus)
+        return self
+
+    @staticmethod
+    def _check(coeffs, modulus: int) -> None:
         require_prime(modulus)
         if len(coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
-        object.__setattr__(self, "coeffs", _reduce(coeffs, modulus))
-        object.__setattr__(self, "modulus", modulus)
 
     @property
     def precision(self) -> int:

@@ -10,12 +10,16 @@ right factor.
 
 The normal form is sparse: an element is the sorted tuple of its nonzero
 monomials, with the right-exponent precision and the modulus beside it.
-tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k has m + 1 of them, a right shift
-moves each one and checks only the last against the precision, and an
-image in k[t]/(t^p) reads only the monomials with right exponent below
-p.  The work of the colength path therefore grows with the number of
-terms and not with the precision; the dense p × precision grid is built
-only when ``coeffs`` is read.
+tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k has m + 1 of them, and for
+m <= p - 1 that sum is already its normal form: every left exponent is
+below p, so nothing carries; every right exponent is below p, which is at
+most half the precision, so nothing is truncated; and C(m, k) is prime to
+p, so no coefficient vanishes.  A right shift moves each monomial and
+checks only the last against the precision, and an image in k[t]/(t^p)
+reads only the monomials with right exponent below p.  The work of the
+colength path therefore grows with the number of terms and not with the
+precision; the dense p × precision grid is built only when ``coeffs`` is
+read.
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -227,11 +231,26 @@ def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
 
 
 def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
-    """Normal form of (t⊗1 - 1⊗t)^m, the generator of filtration level m."""
-    if not 0 <= m <= ctx.p - 1:
-        raise InvalidLevel(f"power must lie in [0, {ctx.p - 1}], got {m}")
-    terms = [(m - k, k, (-1) ** k * comb(m, k)) for k in range(m + 1)]
-    return element_from_monomials(ctx, terms)
+    """Normal form of (t⊗1 - 1⊗t)^m, the generator of filtration level m.
+
+    Written down directly: the terms are (k, m - k, (-1)^k C(m, k) mod p)
+    for k = 0..m, already sorted by right exponent.  For 0 <= m <= p - 1
+    this is the normal form for three reasons: every left exponent m - k
+    is below p, so nothing carries across the tensor sign; every right
+    exponent k is below p <= precision/2, so nothing is truncated; and
+    C(m, k) is prime to p, so no term vanishes.
+    :func:`element_from_monomials` is the general path it is checked
+    against.
+    """
+    try:
+        m = index(m)
+    except TypeError:
+        raise _not_integral((m,)) from None
+    p = ctx.p
+    if not 0 <= m <= p - 1:
+        raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
+    terms = tuple([(k, m - k, (-1) ** k * comb(m, k) % p) for k in range(m + 1)])
+    return PullbackElement._from_terms(terms, ctx.precision, p)
 
 
 def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
@@ -255,7 +274,7 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
             f"shift by {j} overflows precision {n}; rebuild the context "
             "with a larger precision"
         )
-    shifted = tuple((right + j, left, c) for right, left, c in terms)
+    shifted = tuple([(right + j, left, c) for right, left, c in terms])
     return PullbackElement._from_terms(shifted, n, element.modulus)
 
 
@@ -276,8 +295,8 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
     for right, left, c in element.terms:  # sorted by right exponent
         if right >= p:
             break
-        coeffs[right] += lams[left] * c
-    return TruncSeries(coeffs, p)
+        coeffs[right] = (coeffs[right] + lams[left] * c) % p
+    return TruncSeries._from_reduced(tuple(coeffs), p)
 
 
 def submodule_contains(element: PullbackElement, point: FiberPoint) -> bool:
@@ -304,6 +323,10 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     functional is spanned by the images of tau^m t^j for 0 <= j < p (for
     j >= p the image dies), and the colength is the F_p rank of that span.
     """
+    try:
+        level = index(level)
+    except TypeError:
+        raise _not_integral((level,)) from None
     p = ctx.p
     if not 1 <= level <= p - 1:
         raise InvalidLevel(f"level must lie in [1, {p - 1}], got {level}")

@@ -169,8 +169,16 @@ def height(pg: LatticePolygon, x) -> Fraction:
 
 
 def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
-    """Heights at the integer abscissae 0, 1, ..., rank."""
-    return tuple(height(pg, x) for x in range(pg.rank + 1))
+    """Heights at the integer abscissae 0, 1, ..., rank, in one pass over
+    the segments: (y0*dx + dy*k)/dx at x0 + k on the segment from (x0, y0)
+    with run dx and rise dy, then the endpoint's degree."""
+    verts = pg.vertices
+    heights: list[Fraction] = []
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        heights += [Fraction(y0 * dx + dy * k, dx) for k in range(dx)]
+    heights.append(Fraction(verts[-1][1]))
+    return tuple(heights)
 
 
 def dominates(a: LatticePolygon, b: LatticePolygon) -> bool:
@@ -270,7 +278,12 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
         raise InvalidParameters(f"need g >= 2 and r >= 1, got g={g}, r={r}")
     verts = [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]
     pg = make_polygon(verts)
-    if any(gap != 2 * g - 2 for gap in slope_gaps(pg)):
+    # Slope drop dy0/dx0 - dy1/dx1 == 2g - 2, cross-multiplied.
+    gap, v = 2 * g - 2, pg.vertices
+    if any(
+        (y1 - y0) * (x2 - x1) - (y2 - y1) * (x1 - x0) != gap * (x1 - x0) * (x2 - x1)
+        for (x0, y0), (x1, y1), (x2, y2) in zip(v, v[1:], v[2:])
+    ):
         raise InvariantViolation("extremal polygon slope drops are not 2g - 2")
     return pg
 

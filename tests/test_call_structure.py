@@ -1,11 +1,11 @@
-"""The colength path and the polygon enumeration keep the call structure
-the benchmark's traced runs pin.
+"""The colength path, the polygon enumeration and the CLI's ``classify``
+keep the call structure the benchmark's traced runs pin.
 
-``perfbench`` counts the calls one ``fiber_polygon`` or one enumeration
-makes to each traced function and refuses a traced run whose counts
-differ from the closed forms in ``perfbench/workloads.py``.  These tests
-apply the same check with the same tracer, so a change that alters the
-call structure (say, a cache on ``tau_power``, or a second
+``perfbench`` counts the calls one ``fiber_polygon``, one enumeration or
+one ``cli.main`` makes to each traced function and refuses a traced run
+whose counts differ from the closed forms in ``perfbench/workloads.py``.
+These tests apply the same check with the same tracer, so a change that
+alters the call structure (say, a cache on ``tau_power``, or a second
 ``make_polygon`` per emitted polygon) fails here and not only in a traced
 benchmark run.
 """
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import frobstrat.cli as cli
 import frobstrat.local_frobenius as lf
 import frobstrat.polygons as pl
 from frobstrat.errors import ExtrapolationWarning
@@ -32,7 +33,7 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_fiber_polygon_call_counts_match_the_benchmark_guard(p):
     tracing, workloads = _load("tracing"), _load("workloads")
     ctx, point = lf.LocalContext.default(p), lf.FiberPoint((1,) * p, p)
@@ -67,3 +68,21 @@ def test_enumeration_call_counts_and_output_match_the_benchmark(rung):
         "polygons.integer_heights": n,
     }
     assert workloads.digest(workloads.vertices_text(polygons)) == want["sha256"]
+
+
+@pytest.mark.parametrize(
+    "p, lambdas", ((3, "0,1,2"), (7, "2,0,1,4,0,3,0")), ids=("p3", "p7")
+)
+def test_cli_classify_call_counts_match_the_benchmark_guard(p, lambdas, capsys):
+    tracing, workloads = _load("tracing"), _load("workloads")
+    argv = ["classify", "-p", str(p), "--lambda", lambdas]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv)  # the wrapper: looked up after install
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out.startswith("{")
+    calls, _, _ = tracer.totals()
+    mix = [("classify", ("classify", p), tuple(argv))]
+    assert calls == workloads.cli_counts(mix, workloads.load_expected())

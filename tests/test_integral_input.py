@@ -12,6 +12,7 @@ from frobstrat.local_frobenius import (
     FiberPoint,
     LocalContext,
     PullbackElement,
+    colength,
     element_from_monomials,
     right_multiply,
     tau_power,
@@ -33,6 +34,8 @@ BUILDERS = {
     "element_from_monomials.right": lambda v: element_from_monomials(CTX3, [(0, v, 1)]),
     "element_from_monomials.coef": lambda v: element_from_monomials(CTX3, [(0, 0, v)]),
     "right_multiply": lambda v: right_multiply(tau_power(CTX3, 1), v),
+    "tau_power": lambda v: tau_power(CTX3, v),
+    "colength": lambda v: colength(CTX3, FiberPoint((1, 0, 0), 3), v),
 }
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from frobstrat.algebra import FpMatrix
+from frobstrat.algebra import FpMatrix, TruncSeries
 from frobstrat.errors import (
     ExtrapolationWarning,
     InvalidLevel,
@@ -301,6 +301,19 @@ def test_colength_matches_closed_form(p, points):
             assert colength(ctx, point, level) == closed_form_colength(p, b, level)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_tau_power_matches_general_normal_form(p):
+    """The closed-form tau^m equals the normaliser's result on the monomials
+    of (u - v)^m expanded by the oracle, at every m and three precisions."""
+    for precision in (2 * p, 3 * p, 10 * p):
+        ctx = LocalContext(p, precision)
+        for m in range(p):
+            got = tau_power(ctx, m)
+            want = element_from_monomials(ctx, tau_monomials(m))
+            assert got.terms == want.terms
+            assert got == want and hash(got) == hash(want)
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_tau_powers_and_shifts_are_in_normal_form(p):
     """Values built without re-reduction equal their rebuild by the public
@@ -371,6 +384,10 @@ def test_unreduced_constructors_keep_their_checks():
         FpMatrix._from_reduced(((1, 2), (1,)), 3)  # equal widths
     with pytest.raises(InvalidParameters):
         FpMatrix._from_reduced(((1,),), 9)  # prime modulus
+    with pytest.raises(InvalidParameters):
+        TruncSeries._from_reduced((1, 2), 4)  # prime modulus
+    with pytest.raises(InvalidParameters):
+        TruncSeries._from_reduced((), 3)  # non-empty
 
 
 def test_fiber_polygon_reference_points():

@@ -141,23 +141,36 @@ def test_enumerate_sheared_degree():
     assert all(pg.endpoint == (3, 9) for pg in sheared)
 
 
-@pytest.mark.parametrize(
-    "params",
-    # (2, 2, 3, -2) has a first slope of 0, which a falsy test of it mishandles.
-    [
-        (3, 2, 3, 0),
-        (2, 2, 2, 0),
-        (3, 2, 3, 3),
-        (5, 2, 2, 0),
-        (3, 3, 3, 0),
-        (2, 3, 4, -1),
-        (2, 2, 3, -2),
-    ],
-)
+#: (p, g, r, d) the enumeration is diffed against the box-search oracle at.
+#: (2, 2, 3, -2) has a first slope of 0, which a falsy test of it mishandles.
+ORACLE_PARAMS = [
+    (3, 2, 3, 0),
+    (2, 2, 2, 0),
+    (3, 2, 3, 3),
+    (5, 2, 2, 0),
+    (3, 3, 3, 0),
+    (2, 3, 4, -1),
+    (2, 2, 3, -2),
+]
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
 def test_enumerate_matches_box_search_oracle(params):
     p, g, r, d = params
     got = {pg.vertices for pg in enumerate_frobenius_polygons(p, g, r, d)}
     assert got == brute_enumerate_polygons(p, g, r, d)
+
+
+@pytest.mark.parametrize(
+    "params", [(5, 3, 5, 0), (7, 3, 6, 1)] + ORACLE_PARAMS
+)
+def test_integer_heights_match_height(params):
+    """The one-pass heights equal :func:`height` at every integer abscissa
+    on every enumerated polygon (the benchmark's first three ladder rungs
+    and the oracle parameter sets)."""
+    for pg in enumerate_frobenius_polygons(*params):
+        want = tuple(height(pg, x) for x in range(pg.rank + 1))
+        assert integer_heights(pg) == want
 
 
 def test_enumerate_members_satisfy_admissibility():
@@ -237,15 +250,18 @@ def test_canonical_polygon_validation():
         canonical_polygon(3, 1, 1, 0)
 
 
-@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
 @pytest.mark.parametrize("g", (2, 3, 4))
-@pytest.mark.parametrize("r", (1, 2))
+@pytest.mark.parametrize("r", (1, 2, 3))
 def test_canonical_polygon_slope_gaps(p, g, r):
-    for d in (-2, 0, 3):
+    for d in (-2, -1, 0, 2, 3):
         pg = canonical_polygon(p, g, r, d)
         assert pg.endpoint == (r * p, p * d)
         assert all(gap == 2 * g - 2 for gap in slope_gaps(pg))
         assert is_canonical(pg, p, g)
+        assert pg.vertices == tuple(
+            (i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)
+        )
 
 
 def test_is_canonical_examples():
