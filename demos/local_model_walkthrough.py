@@ -19,12 +19,8 @@ ctx = LocalContext.default(3)  # k[[t]] over k[[t^3]], right exponents < 9
 
 
 def show(element, name):
-    terms = [
-        f"{c if c != 1 else ''}t^{i}*t^{j}"
-        for i, row in enumerate(element.coeffs)
-        for j, c in enumerate(row)
-        if c
-    ]
+    # element.terms is the normal form: (right exp, left exp, coefficient)
+    terms = [f"{c if c != 1 else ''}t^{i}*t^{j}" for j, i, c in element.terms]
     print(f"  {name} = {' + '.join(terms)}   (left factor first)")
 
 

@@ -47,6 +47,19 @@ def require_prime(p) -> None:
         raise InvalidParameters(f"modulus must be a prime integer, got {p!r}")
 
 
+def _checked_int(value, name: str = "", least: int | None = None) -> int:
+    """``value`` as an int through :func:`operator.index`, refused with
+    :class:`InvalidParameters` when it is not an integer or, if ``least``
+    is given, when it lies below ``least``."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise _not_integral((value,)) from None
+    if least is not None and value < least:
+        raise InvalidParameters(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def _not_integral(values) -> InvalidParameters:
     """The error for ``values`` when one of them is not an integer; raised
     in place of the :class:`TypeError` of :func:`operator.index`."""

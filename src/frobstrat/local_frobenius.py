@@ -8,18 +8,18 @@ cross the tensor sign).  The canonical filtration of the pullback is
 generated level by level by powers of tau = t⊗1 - 1⊗t, acting through the
 right factor.
 
-The normal form is sparse: an element is the sorted tuple of its nonzero
-monomials, with the right-exponent precision and the modulus beside it.
-tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k has m + 1 of them, and for
-m <= p - 1 that sum is already its normal form: every left exponent is
-below p, so nothing carries; every right exponent is below p, which is at
-most half the precision, so nothing is truncated; and C(m, k) is prime to
-p, so no coefficient vanishes.  A right shift moves each monomial and
-checks only the last against the precision, and an image in k[t]/(t^p)
-reads only the monomials with right exponent below p.  The work of the
-colength path therefore grows with the number of terms and not with the
-precision; the dense p × precision grid is built only when ``coeffs`` is
-read.
+The normal form is sparse: an element's fields are the sorted tuple of
+its nonzero monomials, the right-exponent precision and the modulus, and
+its constructor normalises any sum of monomials.  The m + 1 monomials of
+tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k are already its normal form for
+m <= p - 1: every left exponent is below p, so nothing carries; every
+right exponent is below p, which is at most half the precision, so
+nothing is truncated; and C(m, k) is prime to p, so no coefficient
+vanishes.  A right shift moves each monomial and checks only the last
+against the precision, and an image in k[t]/(t^p) reads only the
+monomials with right exponent below p.  The work of the colength path
+therefore grows with the number of terms and not with the precision; the
+dense p × precision grid is built only when ``coeffs`` is read.
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -41,6 +41,7 @@ from operator import index
 from .algebra import (
     FpMatrix,
     TruncSeries,
+    _checked_int,
     _not_integral,
     _reduce,
     matrix_rank,
@@ -79,7 +80,7 @@ class LocalContext(Record):
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        if self.precision < 2 * self.p:
+        if _checked_int(self.precision) < 2 * self.p:
             raise InvalidParameters(
                 f"precision must be at least 2p = {2 * self.p}, "
                 f"got {self.precision}"
@@ -92,37 +93,41 @@ class LocalContext(Record):
 
 
 class PullbackElement(Record):
-    """Element of k[[t]] ⊗_A k[[t]] in sparse normal form.
+    """Element of k[[t]] ⊗_A k[[t]]; its fields are its sparse normal form.
 
     ``terms`` lists the nonzero monomials c t^i ⊗ t^j as triples (j, i, c),
     sorted by right exponent j and then by left exponent i, with
-    0 <= i < p, 0 <= j < ``precision`` and 0 < c < p: any monomial with
-    left exponent >= p has been rewritten by moving t^p across the tensor
-    sign, and right exponents at or past the precision are truncated.
-    Normal form is unique, so (terms, precision, modulus) decides equality
-    of elements, and the colength path costs time in the number of terms,
-    never in the precision.
-
-    The record fields are the dense view the constructor takes:
-    ``coeffs[i][j]`` is the coefficient of t^i ⊗ t^j in a p × precision
-    grid, built only when it is read.
+    0 <= i < p = ``modulus``, 0 <= j < ``precision`` and 0 < c < p.  The
+    constructor brings any sum of monomials (j, i, c) with nonnegative
+    integer exponents to this form: it moves t^p across the tensor sign
+    until i < p, truncates at the precision, and combines like monomials
+    mod p, dropping zeros.  Normal form is unique, so the fields decide
+    equality of elements, and the colength path costs time in the number
+    of terms, never in the precision.  ``coeffs`` is the dense p ×
+    precision view, ``coeffs[i][j]`` the coefficient of t^i ⊗ t^j, built
+    only when it is read.
     """
 
-    coeffs: tuple[tuple[int, ...], ...]
+    terms: tuple[tuple[int, int, int], ...]
+    precision: int
     modulus: int
 
-    def __init__(self, coeffs, modulus: int) -> None:
-        require_prime(modulus)
-        if len(coeffs) != modulus:
-            raise InvalidParameters("coefficient grid must have p rows")
-        width = len(coeffs[0])
-        if any(len(row) != width for row in coeffs):
-            raise InvalidParameters("coefficient rows must share one length")
-        columns = enumerate(zip(*(_reduce(row, modulus) for row in coeffs)))
-        terms = tuple((j, i, c) for j, col in columns for i, c in enumerate(col) if c)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "precision", width)
-        object.__setattr__(self, "modulus", modulus)
+    def __post_init__(self) -> None:
+        p = self.modulus
+        require_prime(p)
+        n = _checked_int(self.precision, "precision", 0)
+        sums: dict[tuple[int, int], int] = {}
+        for right, left, coef in self.terms:
+            right = _checked_int(right, "right exponent", 0)
+            left = _checked_int(left, "left exponent", 0)
+            coef = _checked_int(coef)
+            carry, left = divmod(left, p)
+            right += p * carry
+            if right < n:
+                sums[right, left] = (sums.get((right, left), 0) + coef) % p
+        normal = tuple((right, left, c) for (right, left), c in sorted(sums.items()) if c)
+        object.__setattr__(self, "terms", normal)
+        object.__setattr__(self, "precision", n)
 
     @classmethod
     def _from_terms(cls, terms, precision: int, modulus: int) -> PullbackElement:
@@ -140,24 +145,6 @@ class PullbackElement(Record):
         for right, left, c in self.terms:
             grid[left][right] = c
         return tuple(map(tuple, grid))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.precision, self.modulus) == (
-            other.terms,
-            other.precision,
-            other.modulus,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.precision, self.modulus))
-
-    def __repr__(self) -> str:
-        return (
-            f"PullbackElement(terms={self.terms!r}, "
-            f"precision={self.precision}, modulus={self.modulus})"
-        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -208,26 +195,11 @@ def fiber_points(p: int) -> tuple[FiberPoint, ...]:
 
 
 def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
-    """Normal form of a sum of monomials (left_exp, right_exp, coefficient).
-
-    Left exponents are reduced below p by moving t^p across the tensor
-    sign; right exponents landing at or past the precision are truncated.
-    """
-    p, n = ctx.p, ctx.precision
-    sums: dict[tuple[int, int], int] = {}
-    for term in terms:
-        try:
-            left, right, coef = map(index, term)
-        except TypeError:
-            raise _not_integral(term) from None
-        if left < 0 or right < 0:
-            raise InvalidParameters("monomial exponents must be nonnegative")
-        carry, left = divmod(left, p)
-        right += p * carry
-        if right < n:
-            sums[right, left] = (sums.get((right, left), 0) + coef) % p
-    normal = tuple((right, left, c) for (right, left), c in sorted(sums.items()) if c)
-    return PullbackElement._from_terms(normal, n, p)
+    """Normal form of a sum of monomials (left_exp, right_exp, coefficient)
+    at the context's precision: the constructor's normaliser, with each
+    monomial written left exponent first."""
+    swapped = [(right, left, coef) for left, right, coef in terms]
+    return PullbackElement(swapped, ctx.precision, ctx.p)
 
 
 def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
@@ -310,8 +282,7 @@ def submodule_contains_monomial(point: FiberPoint, j: int) -> bool:
     Holds exactly when j >= p (those monomials generate the part of V
     forced by the A-module structure) or the j-th coordinate vanishes.
     """
-    if j < 0:
-        raise InvalidParameters(f"exponent must be nonnegative, got {j}")
+    j = _checked_int(j, "exponent", 0)
     return j >= point.modulus or point.lambdas[j] == 0
 
 
@@ -372,8 +343,8 @@ def colength_profile(
     ctx: LocalContext, point: FiberPoint, genus: int, line_degree: int
 ) -> ColengthProfile:
     """Colengths at every level together with the induced degrees."""
-    if genus < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {genus}")
+    genus = _checked_int(genus, "genus", 2)
+    line_degree = _checked_int(line_degree)
     p = ctx.p
     cols = {lv: colength(ctx, point, lv) for lv in range(1, p)}
     inter = {

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import index
 
-from .algebra import _not_integral, require_prime
+from .algebra import _checked_int, _not_integral, require_prime
 from .errors import (
     BadStart,
     EndpointMismatch,
@@ -76,10 +76,6 @@ class LatticePolygon(Record):
     def rank(self) -> int:
         return self.vertices[-1][0]
 
-    @property
-    def degree(self) -> int:
-        return self.vertices[-1][1]
-
     def __str__(self) -> str:
         return "->".join(f"({a},{b})" for a, b in self.vertices)
 
@@ -106,9 +102,6 @@ class PolygonSet(Record):
 
     def __len__(self) -> int:
         return len(self.polygons)
-
-    def __contains__(self, pg) -> bool:
-        return pg in self.polygons
 
 
 def make_polygon(points) -> LatticePolygon:
@@ -235,10 +228,9 @@ def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
     refining domination.
     """
     require_prime(p)
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
-    if r < 2:
-        raise InvalidParameters(f"rank must be at least 2, got {r}")
+    g = _checked_int(g, "genus", 2)
+    r = _checked_int(r, "rank", 2)
+    d = _checked_int(d)
     total = p * d
     gap = 2 * g - 2
     spread = min(r - 1, p - 1) * gap
@@ -274,8 +266,9 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
     between successive slopes equals 2g - 2, which is validated.
     """
     require_prime(p)
-    if g < 2 or r < 1:
-        raise InvalidParameters(f"need g >= 2 and r >= 1, got g={g}, r={r}")
+    g = _checked_int(g, "genus", 2)
+    r = _checked_int(r, "rank", 1)
+    d = _checked_int(d)
     verts = [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]
     pg = make_polygon(verts)
     # Slope drop dy0/dx0 - dy1/dx1 == 2g - 2, cross-multiplied.
@@ -290,10 +283,8 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
 
 def canonical_stratum_dim(r: int, g: int) -> int:
     """Dimension r^2 (g - 1) + 1 of the extremal-polygon stratum."""
-    if r < 1:
-        raise InvalidParameters(f"rank must be at least 1, got {r}")
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
+    r = _checked_int(r, "rank", 1)
+    g = _checked_int(g, "genus", 2)
     return r * r * (g - 1) + 1
 
 

@@ -11,26 +11,21 @@ from operator import attrgetter
 class Record:
     """Immutable value whose fields are the names annotated in its class body.
 
-    A class attribute of a field's name is that field's default, unless it
-    is a property: such a field is computed on demand from state the type
-    keeps in another form.  Equality, hash and repr are taken over the
-    fields in order, and assigning or deleting an attribute raises.  The
-    generic constructor binds arguments to fields like a call signature,
-    then runs ``__post_init__`` if the class has one; a check there may
-    normalise a field with :func:`object.__setattr__`.  Types built in hot
-    loops define their own ``__init__`` with explicit parameters and set
-    their fields the same way.
+    A class attribute of a field's name is that field's default.  Equality,
+    hash and repr are taken over the fields in order, and assigning or
+    deleting an attribute raises.  The generic constructor binds arguments
+    to fields like a call signature, then runs ``__post_init__`` if the
+    class has one; a check there may normalise a field with
+    :func:`object.__setattr__`.  Types built in hot loops define their own
+    ``__init__`` with explicit parameters and set their fields the same
+    way.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(cls.__annotations__)
         attrs = cls.__dict__
-        cls._defaults = {
-            f: attrs[f]
-            for f in fields
-            if f in attrs and not isinstance(attrs[f], property)
-        }
+        cls._defaults = {f: attrs[f] for f in fields if f in attrs}
         cls._key = attrgetter(*fields)
 
     def __init__(self, *args, **kwargs) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import require_prime
+from .algebra import _checked_int, require_prime
 from .errors import (
     InvalidParameters,
     InvariantViolation,
@@ -84,10 +84,10 @@ class CurveContext(Record):
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        if self.g < 2:
-            raise InvalidParameters(f"genus must be at least 2, got {self.g}")
-        if self.r < 1:
-            raise InvalidParameters(f"rank must be at least 1, got {self.r}")
+        _checked_int(self.g, "genus", 2)
+        _checked_int(self.r, "rank", 1)
+        _checked_int(self.d)
+        _checked_int(self.line_degree)
 
 
 class StratumReport(Record):
@@ -122,10 +122,9 @@ class StratumReport(Record):
 def pushforward_type(r: int, d: int, p: int, g: int) -> tuple[int, int]:
     """Rank and degree of the Frobenius direct image of a type (r, d) bundle."""
     require_prime(p)
-    if r < 1:
-        raise InvalidParameters(f"rank must be at least 1, got {r}")
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
+    r = _checked_int(r, "rank", 1)
+    d = _checked_int(d)
+    g = _checked_int(g, "genus", 2)
     return (r * p, d + r * (p - 1) * (g - 1))
 
 
@@ -136,8 +135,8 @@ def filtration_degrees(p: int, g: int, line_degree: int) -> tuple[tuple[int, int
     the degrees sum to the degree of the pulled-back direct image.
     """
     require_prime(p)
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
+    g = _checked_int(g, "genus", 2)
+    line_degree = _checked_int(line_degree)
     return tuple((1, line_degree + level * (2 * g - 2)) for level in range(p))
 
 
@@ -151,9 +150,9 @@ def sun_slope_bound(p: int, g: int, line_degree: int, sub_rank: int) -> Fraction
     degree-0 subsheaf of the same rank as the direct image.
     """
     require_prime(p)
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
-    if not 1 <= sub_rank <= p:
+    g = _checked_int(g, "genus", 2)
+    line_degree = _checked_int(line_degree)
+    if not 1 <= _checked_int(sub_rank) <= p:
         raise InvalidParameters(
             f"subsheaf rank must lie in [1, {p}], got {sub_rank}"
         )
@@ -250,8 +249,7 @@ def b1_splits(p: int, g: int) -> bool:
         raise UnsupportedCharacteristic(
             f"splitting criterion requires characteristic p > 2, got {p}"
         )
-    if g < 2:
-        raise InvalidParameters(f"genus must be at least 2, got {g}")
+    g = _checked_int(g, "genus", 2)
     return (g - 1) % p == 0
 
 

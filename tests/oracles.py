@@ -139,6 +139,19 @@ def normalize_monomials(terms, p, precision):
     return tuple(tuple(row) for row in grid)
 
 
+def grid_terms(grid, p):
+    """The nonzero entries of a p-row coefficient grid as monomials
+    (right_exp, left_exp, coefficient) reduced mod p, row by row: the
+    constructor's argument order, but not its sorted normal form."""
+    assert len(grid) == p, "a coefficient grid has p rows"
+    return [
+        (j, i, c % p)
+        for i, row in enumerate(grid)
+        for j, c in enumerate(row)
+        if c % p
+    ]
+
+
 def tau_monomials(m):
     """Expand (u - v)^m by repeated naive multiplication over the integers.
 

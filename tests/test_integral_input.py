@@ -1,4 +1,5 @@
-"""Public constructors refuse non-integral entries instead of truncating them."""
+"""Public constructors and entry points refuse non-integral entries instead
+of truncating them or computing with them in floating point."""
 
 from __future__ import annotations
 
@@ -13,13 +14,29 @@ from frobstrat.local_frobenius import (
     LocalContext,
     PullbackElement,
     colength,
+    colength_profile,
     element_from_monomials,
     right_multiply,
+    submodule_contains_monomial,
     tau_power,
 )
-from frobstrat.polygons import LatticePolygon, make_polygon
+from frobstrat.polygons import (
+    LatticePolygon,
+    canonical_polygon,
+    canonical_stratum_dim,
+    enumerate_frobenius_polygons,
+    make_polygon,
+)
+from frobstrat.strata import (
+    CurveContext,
+    b1_splits,
+    filtration_degrees,
+    pushforward_type,
+    sun_slope_bound,
+)
 
 CTX3 = LocalContext.default(3)
+PT3 = FiberPoint((1, 0, 0), 3)
 
 #: Each builder puts ``v`` in one integer slot of a valid input; with v = 1
 #: it builds a value, so only the type of ``v`` decides the outcome.
@@ -29,13 +46,45 @@ BUILDERS = {
     "FiberPoint": lambda v: FiberPoint((v, 1, 0), 3),
     "TruncSeries": lambda v: TruncSeries((v, 2), 3),
     "FpMatrix": lambda v: FpMatrix(((v,),), 3),
-    "PullbackElement": lambda v: PullbackElement(((v,), (0,), (0,)), 3),
+    "PullbackElement": lambda v: PullbackElement(((0, 0, v),), 3, 3),
+    "PullbackElement.precision": lambda v: PullbackElement((), 3 * v, 3),
     "element_from_monomials.left": lambda v: element_from_monomials(CTX3, [(v, 0, 1)]),
     "element_from_monomials.right": lambda v: element_from_monomials(CTX3, [(0, v, 1)]),
     "element_from_monomials.coef": lambda v: element_from_monomials(CTX3, [(0, 0, v)]),
     "right_multiply": lambda v: right_multiply(tau_power(CTX3, 1), v),
     "tau_power": lambda v: tau_power(CTX3, v),
-    "colength": lambda v: colength(CTX3, FiberPoint((1, 0, 0), 3), v),
+    "colength": lambda v: colength(CTX3, PT3, v),
+    "colength_profile.genus": lambda v: colength_profile(CTX3, PT3, v + 1, -1),
+    "colength_profile.line_degree": lambda v: colength_profile(CTX3, PT3, 2, -v),
+    "submodule_contains_monomial": lambda v: submodule_contains_monomial(PT3, v),
+    "LocalContext": lambda v: LocalContext(3, 9 * v),
+    "enumerate_frobenius_polygons.g": lambda v: enumerate_frobenius_polygons(
+        3, v + 1, 3, 0
+    ),
+    "enumerate_frobenius_polygons.r": lambda v: enumerate_frobenius_polygons(
+        3, 2, v + 2, 0
+    ),
+    "enumerate_frobenius_polygons.d": lambda v: enumerate_frobenius_polygons(
+        3, 2, 3, v
+    ),
+    "canonical_polygon.g": lambda v: canonical_polygon(3, v + 1, 1, 0),
+    "canonical_polygon.r": lambda v: canonical_polygon(3, 2, v, 0),
+    "canonical_polygon.d": lambda v: canonical_polygon(3, 2, 1, v),
+    "canonical_stratum_dim.r": lambda v: canonical_stratum_dim(v, 2),
+    "canonical_stratum_dim.g": lambda v: canonical_stratum_dim(3, v + 1),
+    "CurveContext.g": lambda v: CurveContext(g=v + 1),
+    "CurveContext.r": lambda v: CurveContext(r=v),
+    "CurveContext.d": lambda v: CurveContext(d=v),
+    "CurveContext.line_degree": lambda v: CurveContext(line_degree=-v),
+    "pushforward_type.r": lambda v: pushforward_type(v, 0, 3, 2),
+    "pushforward_type.d": lambda v: pushforward_type(3, v, 3, 2),
+    "pushforward_type.g": lambda v: pushforward_type(3, 0, 3, v + 1),
+    "filtration_degrees.g": lambda v: filtration_degrees(3, v + 1, -1),
+    "filtration_degrees.line_degree": lambda v: filtration_degrees(3, 2, -v),
+    "sun_slope_bound.g": lambda v: sun_slope_bound(3, v + 1, -1, 1),
+    "sun_slope_bound.line_degree": lambda v: sun_slope_bound(3, 2, -v, 1),
+    "sun_slope_bound.sub_rank": lambda v: sun_slope_bound(3, 2, -1, v),
+    "b1_splits": lambda v: b1_splits(3, v + 1),
 }
 
 

@@ -38,6 +38,7 @@ from oracles import (
     closed_form_colength,
     dense_phi_image,
     dense_right_multiply,
+    grid_terms,
     normalize_monomials,
     rowspace_rank,
     shift_right,
@@ -153,6 +154,37 @@ def test_normal_form_idempotent():
     assert again == e
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_constructor_matches_rewriting_oracle_on_random_sums(p):
+    """Seeded random sums with repeated monomials, left exponents >= p,
+    right exponents past the precision and coefficients outside [0, p)."""
+    rng = random.Random(1000 + p)
+    seen = dict.fromkeys(("carry", "cut", "coef"), False)
+    for _ in range(300):
+        n = rng.choice((2 * p, 3 * p, 3 * p + 1))
+        monomials = []
+        for _ in range(rng.randrange(1, 12)):
+            left, right = rng.randrange(3 * p), rng.randrange(n + 2 * p)
+            monomials.append((left, right, rng.randrange(-2 * p, 2 * p)))
+        left, right, _ = rng.choice(monomials)  # one monomial repeated
+        monomials.append((left, right, rng.randrange(-2 * p, 2 * p)))
+        seen["carry"] |= any(a >= p for a, _, _ in monomials)
+        seen["cut"] |= any(b + p * (a // p) >= n for a, b, _ in monomials)
+        seen["coef"] |= any(not 0 <= c < p for _, _, c in monomials)
+        e = PullbackElement([(b, a, c) for a, b, c in monomials], n, p)
+        assert e.coeffs == normalize_monomials(monomials, p, n)
+        assert list(e.terms) == sorted(set(e.terms))
+        assert all(0 <= i < p and 0 <= j < n and 0 < c < p for j, i, c in e.terms)
+        assert e == element_from_monomials(LocalContext(p, n), monomials)
+    assert all(seen.values()), seen
+
+
+def test_repr_is_the_field_repr():
+    assert repr(tau_power(CTX3, 1)) == (
+        "PullbackElement(terms=((0, 1, 1), (1, 0, 2)), precision=9, modulus=3)"
+    )
+
+
 @given(
     j1=st.integers(min_value=0, max_value=3),
     j2=st.integers(min_value=0, max_value=3),
@@ -193,7 +225,7 @@ def test_phi_image_modulus_check():
 
 
 def test_phi_image_needs_precision_p():
-    short = PullbackElement(((1, 0), (0, 0), (0, 0)), 3)
+    short = PullbackElement(((0, 0, 1),), 2, 3)
     with pytest.raises(InvalidParameters):
         phi_image(short, FiberPoint((1, 0, 0), 3))
 
@@ -316,14 +348,16 @@ def test_tau_power_matches_general_normal_form(p):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_tau_powers_and_shifts_are_in_normal_form(p):
-    """Values built without re-reduction equal their rebuild by the public
-    constructor, which reduces every entry mod p."""
+    """Values built without the normaliser are left unchanged by it: the
+    public constructor, which normalises its terms, rebuilds each with
+    identical terms."""
     ctx = LocalContext.default(p)
     for m in range(p):
         base = tau_power(ctx, m)
         for j in range(ctx.precision - m):
             e = right_multiply(base, j)
-            assert PullbackElement(e.coeffs, p) == e
+            rebuilt = PullbackElement(e.terms, e.precision, e.modulus)
+            assert rebuilt == e and rebuilt.terms == e.terms
             assert type(e.coeffs) is tuple
             assert all(type(row) is tuple for row in e.coeffs)
             assert all(type(c) is int and 0 <= c < p for row in e.coeffs for c in row)
@@ -349,7 +383,7 @@ def test_sparse_elements_match_dense_oracle(p):
                 continue
             got = right_multiply(base, j)
             assert got.coeffs == want
-            rebuilt = PullbackElement(want, p)
+            rebuilt = PullbackElement(grid_terms(want, p), n, p)
             assert got == rebuilt and hash(got) == hash(rebuilt)
             assert got.is_zero() == rebuilt.is_zero() == (not any(map(any, want)))
             for point in points:
@@ -373,11 +407,11 @@ def test_large_precision_keeps_elements_sparse():
 
 def test_unreduced_constructors_keep_their_checks():
     with pytest.raises(InvalidParameters):
-        PullbackElement(((0,), (0,)), 3)  # p rows
+        PullbackElement(((0, 0, 1),), 4, 4)  # prime modulus
     with pytest.raises(InvalidParameters):
-        PullbackElement(((0, 0), (0,), (0,)), 3)  # equal widths
+        PullbackElement(((0, -1, 1),), 9, 3)  # nonnegative exponents
     with pytest.raises(InvalidParameters):
-        PullbackElement(((0,),) * 4, 4)  # prime modulus
+        PullbackElement._from_terms(((0, 0, 1),), 4, 4)  # prime modulus
     with pytest.raises(InvalidParameters):
         FpMatrix._from_reduced((), 3)  # non-empty
     with pytest.raises(InvalidParameters):

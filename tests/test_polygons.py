@@ -118,6 +118,9 @@ def test_enumerate_reference_configuration():
     ps = enumerate_frobenius_polygons(3, 2, 3, 0)
     assert set(ps.polygons) == set(REFERENCE_POLYGONS.values())
     assert len(ps) == 4
+    # membership through iteration
+    assert P3 in ps
+    assert make_polygon([(0, 0), (3, 0)]) not in ps  # one segment: semistable
     # sorted ascending by height vectors at integer abscissae
     assert [reference_label(pg) for pg in ps] == ["P2", "P1", "P3", "P4"]
     ordered = [integer_heights(pg) for pg in ps]

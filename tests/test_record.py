@@ -23,7 +23,7 @@ VALUES = [
     (TruncSeries, ((1, 0, 2), 3)),
     (FpMatrix, (((1, 2), (0, 1)), 3)),
     (LocalContext, (3, 9)),
-    (PullbackElement, (((1, 0), (0, 1), (0, 0)), 3)),
+    (PullbackElement, (((0, 1, 2), (1, 0, 1)), 3, 3)),
     (FiberPoint, ((0, 1, 2), 3)),
     (ColengthProfile, (3, 2, -1, {1: 2, 2: 1}, {1: 1, 2: 0}, False)),
     (LatticePolygon, (((0, 0), (1, 2), (2, 2), (3, 0)),)),
