@@ -44,42 +44,36 @@ def build_parser() -> _Parser:
     from .polygons import REFERENCE_CONFIGURATION
 
     p, g, r, d, line_degree = REFERENCE_CONFIGURATION
+    # Each flag written once: a command takes the flags COMMANDS lists, and --format.
+    flags = {
+        "-p": dict(type=int, default=p, help="prime characteristic"),
+        "-g": dict(type=int, default=g, help="curve genus"),
+        "-r": dict(type=int, default=r, help="bundle rank"),
+        "-d": dict(type=int, default=d, help="bundle degree"),
+        "--deg-line": dict(
+            type=int, default=line_degree, help="degree of the source line bundle"
+        ),
+        "--lambda": dict(
+            dest="lambdas",
+            required=True,
+            help="comma-separated projective coordinates, e.g. 1,0,0",
+        ),
+        "--format": dict(
+            choices=("json", "tsv"), default="json", dest="fmt", help="output format"
+        ),
+    }
     parser = _Parser(
         prog="frobstrat",
         description="Exact classification of Frobenius destabilization "
         "strata: polygons, local membership, fiber census, dimension "
         "tables.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("-p", type=int, default=p, help="prime characteristic")
-    shared.add_argument("-g", type=int, default=g, help="curve genus")
-    shared.add_argument("-r", type=int, default=r, help="bundle rank")
-    shared.add_argument("-d", type=int, default=d, help="bundle degree")
-    shared.add_argument(
-        "--deg-line",
-        type=int,
-        default=line_degree,
-        dest="deg_line",
-        help="degree of the source line bundle",
-    )
-    shared.add_argument(
-        "--format",
-        choices=("json", "tsv"),
-        default="json",
-        dest="fmt",
-        help="output format",
-    )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (help_text, _) in COMMANDS.items():
-        command = sub.add_parser(name, parents=[shared], help=help_text)
-        if name == "classify":
-            command.add_argument(
-                "--lambda",
-                dest="lambdas",
-                required=True,
-                help="comma-separated projective coordinates, e.g. 1,0,0",
-            )
+    for name, (help_text, names, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in (*names, "--format"):
+            command.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -151,9 +145,10 @@ def _cmd_classify(args):
 
 
 def _cmd_fiber_census(args):
+    from .local_frobenius import REFERENCE_PARAMETERS
     from .strata import fiber_census
 
-    census = fiber_census(args.p, args.g, args.deg_line)
+    census = fiber_census(*REFERENCE_PARAMETERS)
     payload = {
         "closed_counts": census.closed_counts,
         "closed_forms": census.closed_forms,
@@ -176,8 +171,7 @@ def _cmd_fiber_census(args):
 def _cmd_strata_table(args):
     from .strata import CurveContext, stratum_table
 
-    ctx = CurveContext(args.p, args.g, args.r, args.d, args.deg_line)
-    reports = stratum_table(ctx)
+    reports = stratum_table(CurveContext())
     payload = [report.as_json_dict() for report in reports]
     lines = []
     for report in reports:
@@ -276,23 +270,39 @@ def _cmd_verify_claims(args):
     return results, lines, 0 if all_ok else 2
 
 
-#: Command name -> (help line, handler).  A handler takes the parsed
-#: arguments, imports the layers it uses and returns the JSON payload, the
-#: TSV lines and the exit code.
+#: Command name -> (help line, flags it reads besides ``--format``, handler).
+#: A handler takes the parsed arguments, imports the layers it uses and
+#: returns the JSON payload, the TSV lines and the exit code.
 COMMANDS = {
-    "polygons": ("enumerate all destabilized pull-back polygons", _cmd_polygons),
-    "classify": ("classify one fiber point into its polygon stratum", _cmd_classify),
+    "polygons": (
+        "enumerate all destabilized pull-back polygons",
+        ("-p", "-g", "-r", "-d"),
+        _cmd_polygons,
+    ),
+    "classify": (
+        "classify one fiber point into its polygon stratum",
+        ("-p", "-g", "--deg-line", "--lambda"),
+        _cmd_classify,
+    ),
     "fiber-census": (
-        "count fiber points per stratum, with closed forms",
+        "count fiber points per stratum, with closed forms, at the reference "
+        "configuration",
+        (),
         _cmd_fiber_census,
     ),
-    "strata-table": ("emit the assembled stratum dimension table", _cmd_strata_table),
+    "strata-table": (
+        "emit the assembled stratum dimension table at the reference configuration",
+        (),
+        _cmd_strata_table,
+    ),
     "canonical-polygon": (
         "emit the extremal polygon and its stratum dimension",
+        ("-p", "-g", "-r", "-d"),
         _cmd_canonical_polygon,
     ),
     "verify-claims": (
         "check the four membership claims over every fiber point",
+        ("-p",),
         _cmd_verify_claims,
     ),
 }
@@ -302,7 +312,7 @@ def main(argv=None) -> int:
     """Parse ``argv`` and run its command; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        payload, lines, exit_code = COMMANDS[args.command][1](args)
+        payload, lines, exit_code = COMMANDS[args.command][2](args)
     except InvariantViolation as exc:
         print(f"frobstrat: internal invariant violated: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ classification at the end of the module.
 from __future__ import annotations
 
 import warnings
+from itertools import product
 from math import comb
 from operator import index
 
@@ -180,18 +181,11 @@ class FiberPoint(Record):
 def fiber_points(p: int) -> tuple[FiberPoint, ...]:
     """All points of P^{p-1}(F_p) in a fixed lexicographic order."""
     require_prime(p)
-    points: list[FiberPoint] = []
-    for lead in range(p):
-        tail_len = p - 1 - lead
-        for idx in range(p**tail_len):
-            tail = []
-            rest = idx
-            for _ in range(tail_len):
-                rest, digit = divmod(rest, p)
-                tail.append(digit)
-            lambdas = (0,) * lead + (1,) + tuple(reversed(tail))
-            points.append(FiberPoint(lambdas, p))
-    return tuple(points)
+    return tuple(
+        FiberPoint((0,) * lead + (1,) + tail, p)
+        for lead in range(p)
+        for tail in product(range(p), repeat=p - 1 - lead)
+    )
 
 
 def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
@@ -336,6 +330,7 @@ class ColengthProfile(Record):
 def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
     """Degree of filtration level ``level``: the sum of its graded degrees
     line_degree + m(2g - 2) over level <= m < p, in closed form."""
+    genus = _checked_int(genus, "genus", 2)
     return (p - level) * (line_degree + (genus - 1) * (p + level - 1))
 
 

@@ -201,11 +201,13 @@ def dual_polygon(pg: LatticePolygon) -> LatticePolygon:
 
 def satisfies_gap_bound(pg: LatticePolygon, g: int) -> bool:
     """Every drop between successive slopes is at most 2g - 2."""
+    g = _checked_int(g, "genus", 2)
     return all(gap <= 2 * g - 2 for gap in slope_gaps(pg))
 
 
 def satisfies_spread_bound(pg: LatticePolygon, p: int, g: int) -> bool:
     """Largest minus smallest slope is at most min(r-1, p-1)(2g-2)."""
+    p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
     segs = slopes(pg)
     return segs[0] - segs[-1] <= min(pg.rank - 1, p - 1) * (2 * g - 2)
 
@@ -290,6 +292,7 @@ def canonical_stratum_dim(r: int, g: int) -> int:
 
 def is_canonical(pg: LatticePolygon, p: int, g: int) -> bool:
     """True when the slope spread equals exactly (p - 1)(2g - 2)."""
+    p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
     segs = slopes(pg)
     return segs[0] - segs[-1] == (p - 1) * (2 * g - 2)
 

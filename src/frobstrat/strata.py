@@ -172,14 +172,6 @@ def _projective_form(dim: int) -> str:
     return "+".join(_monomial_form(k) for k in range(dim, -1, -1))
 
 
-def _eval_form_strict(dim: int, q: int) -> int:
-    return q**dim
-
-
-def _eval_form_closed(dim: int, q: int) -> int:
-    return sum(q**k for k in range(dim + 1))
-
-
 class FiberCensus(Record):
     """Exhaustive classification of the colength-one fiber over F_p.
 
@@ -313,9 +305,9 @@ def _check_table_consistency(ctx: CurveContext, census: FiberCensus) -> None:
         raise InvariantViolation("P4 polygon is not the extremal polygon")
     q = census.field_size
     for label, dim in _FIBER_STRATUM_DIM.items():
-        if census.strict_counts[label] != _eval_form_strict(dim, q):
+        if census.strict_counts[label] != q**dim:
             raise InvariantViolation(f"{label}: strict count vs closed form")
-        if census.closed_counts[f"{label}+"] != _eval_form_closed(dim, q):
+        if census.closed_counts[f"{label}+"] != sum(q**k for k in range(dim + 1)):
             raise InvariantViolation(f"{label}: closed count vs closed form")
     if sum(census.strict_counts.values()) != census.total:
         raise InvariantViolation("strict counts do not partition the fiber")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import resource
 import subprocess
@@ -186,10 +187,119 @@ def test_invalid_parameters_exit_one(capsys):
     code, _, err = run_cli(capsys, ["polygons", "-p", "4"])
     assert code == 1
     assert "prime" in err
-    code, _, _ = run_cli(capsys, ["strata-table", "-d", "3"])
-    assert code == 1
-    code, _, _ = run_cli(capsys, ["fiber-census", "-g", "3"])
-    assert code == 1
+    # fiber-census and strata-table run only at the reference configuration,
+    # so they take no parameter flag: argparse refuses one as a usage error.
+    for argv in (["strata-table", "-d", "3"], ["fiber-census", "-g", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage" in capsys.readouterr().err
+
+
+def declared_flags() -> dict[str, dict[str, argparse.Action]]:
+    """Command name -> {option string: action} for every flag a command of
+    :func:`build_parser` takes, ``-h`` left out."""
+    (subparsers,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            option: action
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        }
+        for name, command in subparsers.choices.items()
+    }
+
+
+def test_each_command_takes_the_flags_it_declares():
+    """19 settable values in all, down from 37 when every command took every
+    parameter flag."""
+    flags = declared_flags()
+    assert {name: list(options) for name, options in flags.items()} == {
+        name: [*names, "--format"] for name, (_, names, _) in COMMANDS.items()
+    }
+    assert sum(len(options) for options in flags.values()) == 19
+    # Every parameter flag a command used to take is either declared or refused.
+    parameters = {"-p", "-g", "-r", "-d", "--deg-line"}
+    declared = {(name, flag) for name, options in flags.items() for flag in options}
+    assert not declared & set(REMOVED_PAIRS)
+    assert declared | set(REMOVED_PAIRS) >= {(n, f) for n in flags for f in parameters}
+    assert len(REMOVED_PAIRS) == 18
+    assert set(SECOND_VALUES) == declared
+
+
+#: The (command, flag) pairs that no command reads: each is a usage error.
+REMOVED_PAIRS = [
+    ("polygons", "--deg-line"),
+    ("classify", "-r"),
+    ("classify", "-d"),
+    *[
+        (command, flag)
+        for command in ("fiber-census", "strata-table")
+        for flag in ("-p", "-g", "-r", "-d", "--deg-line")
+    ],
+    ("canonical-polygon", "--deg-line"),
+    ("verify-claims", "-g"),
+    ("verify-claims", "-r"),
+    ("verify-claims", "-d"),
+    ("verify-claims", "--deg-line"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag", REMOVED_PAIRS, ids=[f"{c} {f}" for c, f in REMOVED_PAIRS]
+)
+def test_unread_flag_is_a_usage_error(capsys, command, flag):
+    """Refused even at its reference value, which the command would use
+    anyway: a flag a command does not read is never silently accepted."""
+    from frobstrat.polygons import REFERENCE_CONFIGURATION
+
+    value = dict(zip(("-p", "-g", "-r", "-d", "--deg-line"), REFERENCE_CONFIGURATION))
+    extra = ["--lambda", "1,0,0"] if command == "classify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra, f"{flag}={value[flag]}"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "usage" in captured.err
+    assert captured.out == ""
+
+
+#: (command, flag) -> (arguments of the default call, a second valid value).
+SECOND_VALUES = {
+    ("polygons", "-p"): ((), "2"),
+    ("polygons", "-g"): ((), "3"),
+    ("polygons", "-r"): ((), "4"),
+    ("polygons", "-d"): ((), "1"),
+    ("classify", "-p"): (("--lambda", "1,0,0,0,0"), "5"),
+    ("classify", "-g"): (("--lambda", "1,0,0"), "3"),
+    ("classify", "--deg-line"): (("--lambda", "1,0,0"), "0"),
+    ("classify", "--lambda"): (("--lambda", "1,0,0"), "0,0,1"),
+    ("canonical-polygon", "-p"): ((), "5"),
+    ("canonical-polygon", "-g"): ((), "3"),
+    ("canonical-polygon", "-r"): ((), "2"),
+    ("canonical-polygon", "-d"): ((), "1"),
+    ("verify-claims", "-p"): ((), "5"),
+    **{
+        (name, "--format"): (("--lambda", "1,0,0") if name == "classify" else (), "tsv")
+        for name in COMMANDS
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", SECOND_VALUES, ids=[f"{c} {f}" for c, f in SECOND_VALUES]
+)
+def test_every_declared_flag_is_read(capsys, command, flag):
+    """A second valid value of each declared flag changes stdout or the exit
+    code against the default call, so no declared flag is ignored."""
+    base, value = SECOND_VALUES[command, flag]
+    default = run_cli(capsys, [command, *base])
+    changed = run_cli(capsys, [command, *base, flag, value])
+    assert default[:2] != changed[:2]
 
 
 def test_precision_flag_floor(capsys):
@@ -216,11 +326,14 @@ def test_reference_configuration_has_one_definition():
     from frobstrat.polygons import REFERENCE_CONFIGURATION
     from frobstrat.strata import CurveContext
 
-    parser = build_parser()
-    for name in COMMANDS:
-        extra = ["--lambda", "1,0,0"] if name == "classify" else []
-        args = parser.parse_args([name, *extra])
-        assert (args.p, args.g, args.r, args.d, args.deg_line) == REFERENCE_CONFIGURATION
+    position = {"-p": 0, "-g": 1, "-r": 2, "-d": 3, "--deg-line": 4}
+    declared = set()
+    for options in declared_flags().values():
+        for option, action in options.items():
+            if option in position:
+                assert action.default == REFERENCE_CONFIGURATION[position[option]]
+                declared.add(option)
+    assert declared == set(position)
     assert CurveContext() == CurveContext(*REFERENCE_CONFIGURATION)
     p, g, _, _, line_degree = REFERENCE_CONFIGURATION
 

@@ -20,6 +20,8 @@ SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", CLI_SECTION, re.M | re.S)
 CLI_COMMANDS = [line.split("#")[0].strip() for line in SH_BLOCKS[0].splitlines()]
 #: The example: a ``$ `` command line followed by the stdout it prints.
 EXAMPLE_COMMAND, EXAMPLE_STDOUT = SH_BLOCKS[1].split("\n", 1)
+#: The per-command flag list: the bullets of the paragraph "Flags by command".
+FLAG_LIST = CLI_SECTION.split("\nFlags by command", 1)[1].split("\n\n", 2)[1]
 
 
 def run(args, child_env):
@@ -65,3 +67,13 @@ def test_readme_cli_example_prints_its_stdout(child_env):
     proc = run_cli(EXAMPLE_COMMAND[2:], child_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == EXAMPLE_STDOUT
+
+
+def test_readme_flag_list_matches_the_cli():
+    from frobstrat.cli import COMMANDS
+
+    listed = {
+        command: re.findall(r"`(-[-a-z]+)`", flags)
+        for command, flags in re.findall(r"^- `([a-z-]+)`: (.*)$", FLAG_LIST, re.M)
+    }
+    assert listed == {name: list(names) for name, (_, names, _) in COMMANDS.items()}

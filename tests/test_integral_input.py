@@ -16,16 +16,21 @@ from frobstrat.local_frobenius import (
     colength,
     colength_profile,
     element_from_monomials,
+    level_degree,
     right_multiply,
     submodule_contains_monomial,
     tau_power,
 )
 from frobstrat.polygons import (
+    REFERENCE_POLYGONS,
     LatticePolygon,
     canonical_polygon,
     canonical_stratum_dim,
     enumerate_frobenius_polygons,
+    is_canonical,
     make_polygon,
+    satisfies_gap_bound,
+    satisfies_spread_bound,
 )
 from frobstrat.strata import (
     CurveContext,
@@ -37,6 +42,7 @@ from frobstrat.strata import (
 
 CTX3 = LocalContext.default(3)
 PT3 = FiberPoint((1, 0, 0), 3)
+P4 = REFERENCE_POLYGONS["P4"]
 
 #: Each builder puts ``v`` in one integer slot of a valid input; with v = 1
 #: it builds a value, so only the type of ``v`` decides the outcome.
@@ -57,6 +63,7 @@ BUILDERS = {
     "colength_profile.genus": lambda v: colength_profile(CTX3, PT3, v + 1, -1),
     "colength_profile.line_degree": lambda v: colength_profile(CTX3, PT3, 2, -v),
     "submodule_contains_monomial": lambda v: submodule_contains_monomial(PT3, v),
+    "level_degree.genus": lambda v: level_degree(3, v + 1, -1, 1),
     "LocalContext": lambda v: LocalContext(3, 9 * v),
     "enumerate_frobenius_polygons.g": lambda v: enumerate_frobenius_polygons(
         3, v + 1, 3, 0
@@ -70,6 +77,11 @@ BUILDERS = {
     "canonical_polygon.g": lambda v: canonical_polygon(3, v + 1, 1, 0),
     "canonical_polygon.r": lambda v: canonical_polygon(3, 2, v, 0),
     "canonical_polygon.d": lambda v: canonical_polygon(3, 2, 1, v),
+    "satisfies_gap_bound.g": lambda v: satisfies_gap_bound(P4, v + 1),
+    "satisfies_spread_bound.p": lambda v: satisfies_spread_bound(P4, v + 2, 2),
+    "satisfies_spread_bound.g": lambda v: satisfies_spread_bound(P4, 3, v + 1),
+    "is_canonical.p": lambda v: is_canonical(P4, v + 2, 2),
+    "is_canonical.g": lambda v: is_canonical(P4, 3, v + 1),
     "canonical_stratum_dim.r": lambda v: canonical_stratum_dim(v, 2),
     "canonical_stratum_dim.g": lambda v: canonical_stratum_dim(3, v + 1),
     "CurveContext.g": lambda v: CurveContext(g=v + 1),
@@ -94,3 +106,21 @@ def test_non_integral_entry_is_refused(build, value):
     build(1)
     with pytest.raises(InvalidParameters, match="must be integers"):
         build(value)
+
+
+#: Slots whose builder gets 1 from ``v``: v + 1 in each genus slot, and
+#: v + 2 in the p slots of the polygon predicates.
+BELOW_BOUND = [
+    *[(slot, 0) for slot in BUILDERS if slot.endswith((".g", ".genus"))],
+    ("b1_splits", 0),
+    ("satisfies_spread_bound.p", -1),
+    ("is_canonical.p", -1),
+]
+
+
+@pytest.mark.parametrize("slot,value", BELOW_BOUND, ids=[s for s, _ in BELOW_BOUND])
+def test_genus_one_and_p_one_are_refused(slot, value):
+    """Genus 1, and p = 1 where no prime check runs, are refused rather than
+    answered."""
+    with pytest.raises(InvalidParameters, match="must be at least 2, got 1"):
+        BUILDERS[slot](value)

@@ -79,6 +79,21 @@ def test_fiber_points_census_size():
     assert len(fiber_points(2)) == 3
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fiber_points_order(p):
+    """Normalised representatives (first nonzero coordinate 1), ordered by the
+    position of that 1 and then lexicographically."""
+    normalised = [
+        lam
+        for lam in itertools.product(range(p), repeat=p)
+        if any(lam) and next(x for x in lam if x) == 1
+    ]
+    expected = sorted(normalised, key=lambda lam: (lam.index(1), lam))
+    points = fiber_points(p)
+    assert isinstance(points, tuple)
+    assert [point.lambdas for point in points] == expected
+
+
 def test_tau_power_zero_is_unit():
     e = tau_power(CTX3, 0)
     assert e.coeffs[0][0] == 1
