@@ -5,7 +5,8 @@ series live at precision a few multiples of p, and a colength matrix
 stacks p(p - l) rows of width p (20 rows at p = 5, 42 at p = 7), so plain
 Python integers are the right representation.  No floating point enters
 anywhere, and entries must be integers: a float or a fraction is refused
-rather than truncated.
+rather than truncated.  :func:`require_prime` remembers up to
+:data:`PRIME_MEMO_SIZE` primes, so a repeated check costs a set lookup.
 """
 
 from __future__ import annotations
@@ -41,10 +42,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: Most primes :func:`require_prime` remembers; the memo starts over when full.
+PRIME_MEMO_SIZE = 64
+_verified_primes: set[int] = set()
+
+
 def require_prime(p) -> None:
-    """Raise :class:`InvalidParameters` unless ``p`` is a prime integer."""
+    """Raise :class:`InvalidParameters` unless ``p`` is a prime integer.
+
+    Exact ints that pass are remembered, at most :data:`PRIME_MEMO_SIZE`
+    of them, and answered by one lookup; other values are tested in full."""
+    if type(p) is int and p in _verified_primes:
+        return
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise InvalidParameters(f"modulus must be a prime integer, got {p!r}")
+    if type(p) is int:
+        if len(_verified_primes) >= PRIME_MEMO_SIZE:
+            _verified_primes.clear()
+        _verified_primes.add(p)
 
 
 def _checked_int(value, name: str = "", least: int | None = None) -> int:
@@ -87,25 +102,21 @@ class TruncSeries(Record):
     modulus: int
 
     def __init__(self, coeffs, modulus: int) -> None:
-        self._check(coeffs, modulus)
+        self._from_reduced(coeffs, modulus)  # its checks, on the raw coefficients
         object.__setattr__(self, "coeffs", _reduce(coeffs, modulus))
         object.__setattr__(self, "modulus", modulus)
 
     @classmethod
     def _from_reduced(cls, coeffs, modulus: int) -> TruncSeries:
         """Series on a tuple of ints that already lie in [0, modulus): the
-        checks of the constructor without the reduction."""
-        self = object.__new__(cls)
-        self._check(coeffs, modulus)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "modulus", modulus)
-        return self
-
-    @staticmethod
-    def _check(coeffs, modulus: int) -> None:
+        checks of the constructor, made inline, without the reduction."""
         require_prime(modulus)
         if len(coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
+        self = object.__new__(cls)
+        attrs = self.__dict__
+        attrs["coeffs"], attrs["modulus"] = coeffs, modulus
+        return self
 
     @property
     def precision(self) -> int:
@@ -122,7 +133,7 @@ class FpMatrix(Record):
     modulus: int
 
     def __init__(self, rows, modulus: int) -> None:
-        self._check(rows, modulus)
+        self._from_reduced(rows, modulus)  # its checks, on the raw rows
         reduced = tuple(_reduce(row, modulus) for row in rows)
         object.__setattr__(self, "rows", reduced)
         object.__setattr__(self, "modulus", modulus)
@@ -130,21 +141,17 @@ class FpMatrix(Record):
     @classmethod
     def _from_reduced(cls, rows, modulus: int) -> FpMatrix:
         """Matrix on a tuple of int tuples whose entries already lie in
-        [0, modulus): the checks of the constructor without the reduction."""
-        self = object.__new__(cls)
-        self._check(rows, modulus)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "modulus", modulus)
-        return self
-
-    @staticmethod
-    def _check(rows, modulus: int) -> None:
+        [0, modulus): the checks of the constructor, made inline, without
+        the reduction."""
         require_prime(modulus)
         if not rows or not rows[0]:
             raise InvalidParameters("matrix dimensions must be positive")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
+        if set(map(len, rows)) != {len(rows[0])}:
             raise InvalidParameters("matrix rows must share one length")
+        self = object.__new__(cls)
+        attrs = self.__dict__
+        attrs["rows"], attrs["modulus"] = rows, modulus
+        return self
 
     @property
     def nrows(self) -> int:
@@ -171,10 +178,11 @@ def matrix_rank(m: FpMatrix) -> int:
             if row[col]:
                 f = row[col] * inv
                 row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            echelon.append((lead, pow(row[lead], p - 2, p), row))
-            echelon.sort()
-            if len(echelon) == width:
+        for lead, x in enumerate(row):
+            if x:
+                echelon.append((lead, pow(x, p - 2, p), row))
+                echelon.sort()
+                if len(echelon) == width:
+                    return width
                 break
     return len(echelon)

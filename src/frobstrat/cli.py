@@ -72,6 +72,7 @@ def build_parser() -> _Parser:
     sub.required = True
     for name, (help_text, names, _) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
+        command.set_defaults(usage_error=command.error)  # for a flag it does not read
         for flag in (*names, "--format"):
             command.add_argument(flag, **flags[flag])
     return parser
@@ -310,7 +311,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     """Parse ``argv`` and run its command; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         payload, lines, exit_code = COMMANDS[args.command][2](args)
     except InvariantViolation as exc:

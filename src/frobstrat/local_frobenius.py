@@ -19,7 +19,9 @@ vanishes.  A right shift moves each monomial and checks only the last
 against the precision, and an image in k[t]/(t^p) reads only the
 monomials with right exponent below p.  The work of the colength path
 therefore grows with the number of terms and not with the precision; the
-dense p × precision grid is built only when ``coeffs`` is read.
+dense p × precision grid is built only when ``coeffs`` is read.  Values
+built already reduced come from trusted constructors that make their
+checks inline and write their fields straight into the instance.
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -37,13 +39,11 @@ from __future__ import annotations
 import warnings
 from itertools import product
 from math import comb
-from operator import index
 
 from .algebra import (
     FpMatrix,
     TruncSeries,
     _checked_int,
-    _not_integral,
     _reduce,
     matrix_rank,
     require_prime,
@@ -135,9 +135,8 @@ class PullbackElement(Record):
         """Element on ``terms`` already in sparse normal form."""
         require_prime(modulus)
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "modulus", modulus)
+        attrs = self.__dict__
+        attrs["terms"], attrs["precision"], attrs["modulus"] = terms, precision, modulus
         return self
 
     @property
@@ -208,10 +207,8 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     :func:`element_from_monomials` is the general path it is checked
     against.
     """
-    try:
-        m = index(m)
-    except TypeError:
-        raise _not_integral((m,)) from None
+    if type(m) is not int:
+        m = _checked_int(m)
     p = ctx.p
     if not 0 <= m <= p - 1:
         raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
@@ -226,10 +223,8 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
     pushed to a right exponent at or past the precision, so results are
     never silently wrong.
     """
-    try:
-        j = index(j)
-    except TypeError:
-        raise _not_integral((j,)) from None
+    if type(j) is not int:
+        j = _checked_int(j)
     if j < 0:
         raise InvalidParameters(f"shift must be nonnegative, got {j}")
     if j == 0:
@@ -261,8 +256,8 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
     for right, left, c in element.terms:  # sorted by right exponent
         if right >= p:
             break
-        coeffs[right] = (coeffs[right] + lams[left] * c) % p
-    return TruncSeries._from_reduced(tuple(coeffs), p)
+        coeffs[right] += lams[left] * c
+    return TruncSeries._from_reduced(tuple([c % p for c in coeffs]), p)
 
 
 def submodule_contains(element: PullbackElement, point: FiberPoint) -> bool:
@@ -288,10 +283,8 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     functional is spanned by the images of tau^m t^j for 0 <= j < p (for
     j >= p the image dies), and the colength is the F_p rank of that span.
     """
-    try:
-        level = index(level)
-    except TypeError:
-        raise _not_integral((level,)) from None
+    if type(level) is not int:
+        level = _checked_int(level)
     p = ctx.p
     if not 1 <= level <= p - 1:
         raise InvalidLevel(f"level must lie in [1, {p - 1}], got {level}")
@@ -346,14 +339,12 @@ def colength_profile(
         lv: level_degree(p, genus, line_degree, lv) - cols[lv]
         for lv in range(1, p)
     }
-    return ColengthProfile(
-        modulus=p,
-        genus=genus,
-        line_degree=line_degree,
-        colengths=cols,
-        intersection_degrees=inter,
-        extrapolated=(p, genus, line_degree) != REFERENCE_PARAMETERS,
-    )
+    profile = object.__new__(ColengthProfile)  # every field set, as by Record's binder
+    attrs = profile.__dict__
+    attrs["modulus"], attrs["genus"], attrs["line_degree"] = p, genus, line_degree
+    attrs["colengths"], attrs["intersection_degrees"] = cols, inter
+    attrs["extrapolated"] = (p, genus, line_degree) != REFERENCE_PARAMETERS
+    return profile
 
 
 def fiber_polygon(

@@ -9,15 +9,14 @@ pull-backs of semistable bundles (found by one exhaustive walk over vertex
 chains inside the slope-drop and spread windows), and the extremal shape
 realised by direct images under Frobenius with the dimension of its stratum.
 
-Heights and slopes are :class:`fractions.Fraction` values at the API;
-convexity is decided by the integer cross product :func:`_cross`.  Two
-polygons are equal exactly when their canonical vertex chains coincide.
+Heights and slopes are :class:`fractions.Fraction` values at the API; the
+order, convexity and slope bounds are decided by integer cross-products,
+so only the functions that return a Fraction import :mod:`fractions`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import index
 
 from .algebra import _checked_int, _not_integral, require_prime
@@ -136,8 +135,20 @@ def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _segments(pg: LatticePolygon) -> list[tuple[int, int]]:
+    """(run, rise) of each segment, left to right."""
+    v = pg.vertices
+    return [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(v, v[1:])]
+
+
+def _drop(s, t) -> tuple[int, int]:
+    """Slope of segment ``s`` minus that of ``t``: (numerator, denominator > 0)."""
+    return s[1] * t[0] - t[1] * s[0], s[0] * t[0]
+
+
 def slopes(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Strictly decreasing segment slopes, one per segment."""
+    from fractions import Fraction
     verts = pg.vertices
     return tuple(
         Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
@@ -152,6 +163,7 @@ def slope_gaps(pg: LatticePolygon) -> tuple[Fraction, ...]:
 
 def height(pg: LatticePolygon, x) -> Fraction:
     """Exact height of the polygon graph above abscissa ``x``."""
+    from fractions import Fraction
     x = Fraction(x)
     if x < 0 or x > pg.rank:
         raise InvalidParameters(f"abscissa {x} outside [0, {pg.rank}]")
@@ -165,6 +177,7 @@ def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Heights at the integer abscissae 0, 1, ..., rank, in one pass over
     the segments: (y0*dx + dy*k)/dx at x0 + k on the segment from (x0, y0)
     with run dx and rise dy, then the endpoint's degree."""
+    from fractions import Fraction
     verts = pg.vertices
     heights: list[Fraction] = []
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
@@ -177,15 +190,22 @@ def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
 def dominates(a: LatticePolygon, b: LatticePolygon) -> bool:
     """Pointwise domination: ``a`` lies on or above ``b`` everywhere.
 
-    Compared at integer abscissae, which suffices because both graphs are
-    linear on every unit interval.  This is a genuine partial order:
-    reflexive, transitive and antisymmetric.
+    Checked at the vertices of ``b``, which suffices because ``b`` is
+    linear between them and ``a`` is concave: each vertex of ``b`` makes a
+    cross product <= 0 with each segment of ``a`` spanning its abscissa.
+    This is a genuine partial order: reflexive, transitive, antisymmetric.
     """
     if a.endpoint != b.endpoint:
         raise EndpointMismatch(
             f"cannot compare endpoints {a.endpoint} and {b.endpoint}"
         )
-    return all(height(a, x) >= height(b, x) for x in range(a.rank + 1))
+    va = a.vertices
+    return all(
+        _cross(u, v, w) <= 0
+        for w in b.vertices
+        for u, v in zip(va, va[1:])
+        if u[0] <= w[0] <= v[0]
+    )
 
 
 def dual_polygon(pg: LatticePolygon) -> LatticePolygon:
@@ -201,15 +221,16 @@ def dual_polygon(pg: LatticePolygon) -> LatticePolygon:
 
 def satisfies_gap_bound(pg: LatticePolygon, g: int) -> bool:
     """Every drop between successive slopes is at most 2g - 2."""
-    g = _checked_int(g, "genus", 2)
-    return all(gap <= 2 * g - 2 for gap in slope_gaps(pg))
+    g, segs = _checked_int(g, "genus", 2), _segments(pg)
+    return all(n <= (2 * g - 2) * d for n, d in map(_drop, segs, segs[1:]))
 
 
 def satisfies_spread_bound(pg: LatticePolygon, p: int, g: int) -> bool:
     """Largest minus smallest slope is at most min(r-1, p-1)(2g-2)."""
     p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
-    segs = slopes(pg)
-    return segs[0] - segs[-1] <= min(pg.rank - 1, p - 1) * (2 * g - 2)
+    segs = _segments(pg)
+    n, d = _drop(segs[0], segs[-1])
+    return n <= min(pg.rank - 1, p - 1) * (2 * g - 2) * d
 
 
 def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
@@ -229,6 +250,7 @@ def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
     are sorted by their height vectors at integer abscissae, a total order
     refining domination.
     """
+    from fractions import Fraction
     require_prime(p)
     g = _checked_int(g, "genus", 2)
     r = _checked_int(r, "rank", 2)
@@ -293,8 +315,9 @@ def canonical_stratum_dim(r: int, g: int) -> int:
 def is_canonical(pg: LatticePolygon, p: int, g: int) -> bool:
     """True when the slope spread equals exactly (p - 1)(2g - 2)."""
     p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
-    segs = slopes(pg)
-    return segs[0] - segs[-1] == (p - 1) * (2 * g - 2)
+    segs = _segments(pg)
+    n, d = _drop(segs[0], segs[-1])
+    return n == (p - 1) * (2 * g - 2) * d
 
 
 def vertex_lists(pg: LatticePolygon) -> list[list[int]]:

@@ -16,8 +16,6 @@ agreement of enumerated point counts with closed forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import _checked_int, require_prime
 from .errors import (
     InvalidParameters,
@@ -149,6 +147,7 @@ def sun_slope_bound(p: int, g: int, line_degree: int, sub_rank: int) -> Fraction
     Nonpositive values for every proper rank certify semistability of any
     degree-0 subsheaf of the same rank as the direct image.
     """
+    from fractions import Fraction
     require_prime(p)
     g = _checked_int(g, "genus", 2)
     line_degree = _checked_int(line_degree)

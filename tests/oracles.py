@@ -4,8 +4,10 @@ Each oracle recomputes a quantity along a path independent of the library
 code it checks: integer-polynomial convolution for series products,
 row-space enumeration for matrix ranks, one-step-at-a-time monomial
 rewriting for the pullback normal form, dense coefficient grids for the
-shifts and images of pullback elements, and a box search over vertex
-chains for the polygon enumeration.  Prime-field scalars, the truncated
+shifts and images of pullback elements, a box search over vertex chains
+for the polygon enumeration, and :class:`~fractions.Fraction` slopes and
+heights for the polygon order and slope bounds the library decides by
+integer cross-multiplication.  Prime-field scalars, the truncated
 series product with the two errors only it and the scalars raise, and the
 vertexwise polygon comparison live here too, since only the tests use them.
 """
@@ -22,7 +24,7 @@ from frobstrat.errors import (
     ModulusMismatch,
     PrecisionExhausted,
 )
-from frobstrat.polygons import height
+from frobstrat.polygons import height, slope_gaps, slopes
 from frobstrat.record import Record
 
 
@@ -216,6 +218,36 @@ def vertexwise_above(a, b) -> bool:
             f"cannot compare endpoints {a.endpoint} and {b.endpoint}"
         )
     return all(y >= height(b, x) for x, y in a.vertices)
+
+
+def fraction_dominates(a, b) -> bool:
+    """:func:`frobstrat.polygons.dominates` with Fraction heights."""
+    if a.endpoint != b.endpoint:
+        raise EndpointMismatch(
+            f"cannot compare endpoints {a.endpoint} and {b.endpoint}"
+        )
+    return all(height(a, x) >= height(b, x) for x in range(a.rank + 1))
+
+
+def fraction_gap_bound(pg, g) -> bool:
+    """:func:`frobstrat.polygons.satisfies_gap_bound` with Fraction slopes."""
+    return all(gap <= 2 * g - 2 for gap in slope_gaps(pg))
+
+
+def fraction_spread(pg) -> Fraction:
+    """Largest minus smallest slope."""
+    segs = slopes(pg)
+    return segs[0] - segs[-1]
+
+
+def fraction_spread_bound(pg, p, g) -> bool:
+    """:func:`frobstrat.polygons.satisfies_spread_bound` with Fraction slopes."""
+    return fraction_spread(pg) <= min(pg.rank - 1, p - 1) * (2 * g - 2)
+
+
+def fraction_is_canonical(pg, p, g) -> bool:
+    """:func:`frobstrat.polygons.is_canonical` with Fraction slopes."""
+    return fraction_spread(pg) == (p - 1) * (2 * g - 2)
 
 
 def brute_enumerate_polygons(p, g, r, d):

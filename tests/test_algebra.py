@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from frobstrat.algebra import PRIME_BOUND, FpMatrix, TruncSeries, is_prime, matrix_rank
+import frobstrat.algebra as algebra
+from frobstrat.algebra import (
+    PRIME_BOUND,
+    PRIME_MEMO_SIZE,
+    FpMatrix,
+    TruncSeries,
+    is_prime,
+    matrix_rank,
+    require_prime,
+)
 from frobstrat.errors import InvalidParameters, ModulusMismatch
 from oracles import (
     DivisionByZero,
@@ -30,6 +40,55 @@ def test_is_prime_refuses_above_its_bound():
     assert not is_prime(PRIME_BOUND)
     with pytest.raises(InvalidParameters, match=str(PRIME_BOUND)):
         is_prime(PRIME_BOUND + 1)  # 73 · 137 · 99990001: quick without the bound
+
+
+class _Int(int):
+    """An int subclass: never remembered, always tested in full."""
+
+
+#: Inputs whose refusal by require_prime is checked cold and warm.
+MEMO_INPUTS = [*range(-3, 500), True, False, 3.0, Fraction(3), _Int(3), PRIME_BOUND + 1]
+
+
+def _refused(n) -> bool:
+    if not isinstance(n, int) or isinstance(n, bool):
+        return True
+    try:
+        return not is_prime(n)
+    except InvalidParameters:  # above PRIME_BOUND
+        return True
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+def test_require_prime_memo_refuses_what_is_prime_refuses(monkeypatch, warm):
+    """Each input twice, so the second call meets whatever the first one
+    remembered; only exact ints enter the memo."""
+    monkeypatch.setattr(algebra, "_verified_primes", set())
+    if warm:
+        for q in (2, 3, 5, 7):
+            require_prime(q)
+        assert algebra._verified_primes == {2, 3, 5, 7}
+    for n in MEMO_INPUTS:
+        for _ in range(2):
+            if _refused(n):
+                with pytest.raises(InvalidParameters):
+                    require_prime(n)
+            else:
+                require_prime(n)
+    assert all(type(q) is int and is_prime(q) for q in algebra._verified_primes)
+
+
+def test_require_prime_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(algebra, "_verified_primes", set())
+    primes = [n for n in range(2, 1300) if is_prime(n)][:200]
+    assert len(primes) == 200
+    for q in primes:
+        require_prime(q)
+        assert len(algebra._verified_primes) <= PRIME_MEMO_SIZE == 64
+    for q in primes:
+        require_prime(q)
+    with pytest.raises(InvalidParameters):
+        require_prime(4)
 
 
 def test_nonprime_modulus_rejected():

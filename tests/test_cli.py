@@ -264,7 +264,9 @@ def test_unread_flag_is_a_usage_error(capsys, command, flag):
         main([command, *extra, f"{flag}={value[flag]}"])
     assert exc.value.code == 1
     captured = capsys.readouterr()
-    assert "usage" in captured.err
+    assert captured.err.startswith(f"usage: frobstrat {command} ")
+    error = f"frobstrat {command}: error: unrecognized arguments: {flag}="
+    assert error in captured.err
     assert captured.out == ""
 
 
@@ -379,6 +381,33 @@ def test_canonical_polygon_imports_only_its_layers(child_env):
     assert "frobstrat.polygons" in loaded
     unused = {"dataclasses", "inspect", "frobstrat.strata", "frobstrat.local_frobenius"}
     assert not loaded & unused
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--lambda", "1,0,0"),
+        ("canonical-polygon",),
+        ("verify-claims",),
+        ("fiber-census",),
+        ("strata-table",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_without_fractions_never_import_it(child_env, argv):
+    """Only ``polygons`` builds a Fraction; the other commands decide slopes
+    and domination with integers and skip loading ``fractions``."""
+    code = (
+        "import sys, contextlib, io\n"
+        "from frobstrat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+        "assert 'fractions' not in sys.modules, 'fractions imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _run_capped(env, *argv, timeout=60):

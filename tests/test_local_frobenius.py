@@ -8,7 +8,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from frobstrat.algebra import FpMatrix, TruncSeries
+import frobstrat.local_frobenius as lf
+from frobstrat.algebra import FpMatrix, TruncSeries, matrix_rank
 from frobstrat.errors import (
     ExtrapolationWarning,
     InvalidLevel,
@@ -403,6 +404,41 @@ def test_sparse_elements_match_dense_oracle(p):
             assert got.is_zero() == rebuilt.is_zero() == (not any(map(any, want)))
             for point in points:
                 assert phi_image(got, point).coeffs == dense_phi_image(want, point)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_trusted_constructors_match_the_normalising_ones(p, monkeypatch):
+    """Every tau power, every shift of it that does not overflow, every
+    image at every point (a b-stratified sample at p = 7) and every colength
+    matrix equals the value ``__init__`` builds from the same fields, with
+    equal hash and repr."""
+    ctx = LocalContext.default(p)
+    points = fiber_points(p) if p <= 5 else _stratified_points(p, 3, p)
+
+    def same(got, want):
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    for m in range(p):
+        base = tau_power(ctx, m)
+        for j in range(ctx.precision - m):
+            e = right_multiply(base, j)
+            same(e, PullbackElement(e.terms, e.precision, p))
+            for point in points:
+                image = phi_image(e, point)
+                same(image, TruncSeries(image.coeffs, p))
+    matrices = []
+
+    def keep(matrix):
+        matrices.append(matrix)
+        return matrix_rank(matrix)
+
+    monkeypatch.setattr(lf, "matrix_rank", keep)
+    for point in points:
+        for level in range(1, p):
+            colength(ctx, point, level)
+    assert len(matrices) == len(points) * (p - 1)
+    for matrix in matrices:
+        same(matrix, FpMatrix(matrix.rows, p))
 
 
 def test_large_precision_keeps_elements_sparse():

@@ -31,7 +31,14 @@ from frobstrat.errors import (
     InvalidParameters,
     NotConvex,
 )
-from oracles import brute_enumerate_polygons, vertexwise_above
+from oracles import (
+    brute_enumerate_polygons,
+    fraction_dominates,
+    fraction_gap_bound,
+    fraction_is_canonical,
+    fraction_spread_bound,
+    vertexwise_above,
+)
 
 P1 = REFERENCE_POLYGONS["P1"]
 P2 = REFERENCE_POLYGONS["P2"]
@@ -174,6 +181,64 @@ def test_integer_heights_match_height(params):
     for pg in enumerate_frobenius_polygons(*params):
         want = tuple(height(pg, x) for x in range(pg.rank + 1))
         assert integer_heights(pg) == want
+
+
+#: Ladder rungs whose polygons the integer predicates are diffed on.
+DIFF_RUNGS = ((3, 2, 3, 0), (5, 3, 5, 0), (7, 3, 6, 1))
+#: Extremal polygons at p = 3, 5, 7 for the same diffs.
+CANONICAL_POLYGONS = [
+    canonical_polygon(p, g, r, d)
+    for p in (3, 5, 7)
+    for g in (2, 3)
+    for r in (1, 2, 3)
+    for d in (0, 1)
+]
+
+
+@pytest.mark.parametrize("rung", DIFF_RUNGS, ids=lambda rung: ",".join(map(str, rung)))
+def test_dominates_matches_fraction_heights(rung):
+    """Every pair of the rung's polygons; at (7,3,6,1), whose 1153 polygons
+    make 1.3 million pairs (about 11 s of library calls), every polygon
+    against every 16th."""
+    polys = list(enumerate_frobenius_polygons(*rung))
+    heights = {pg: tuple(height(pg, x) for x in range(pg.rank + 1)) for pg in polys}
+    seen = set()
+    for a in polys:
+        for b in polys if len(polys) < 1000 else polys[::16]:
+            want = all(x >= y for x, y in zip(heights[a], heights[b]))
+            assert dominates(a, b) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_dominates_matches_fraction_dominates_on_extremal_polygons():
+    polys = [*REFERENCE_POLYGONS.values(), *CANONICAL_POLYGONS]
+    pairs = [(a, b) for a in polys for b in polys if a.endpoint == b.endpoint]
+    assert {fraction_dominates(a, b) for a, b in pairs} == {True, False}
+    for a, b in pairs:
+        assert dominates(a, b) == fraction_dominates(a, b)
+
+
+def test_slope_bounds_match_fraction_slopes():
+    """The gap, spread and canonical tests against Fraction slopes on every
+    polygon of the diff rungs and every reference and extremal polygon, at
+    p = 3, 5, 7 and g = 2, 3, 4."""
+    polys = [pg for rung in DIFF_RUNGS for pg in enumerate_frobenius_polygons(*rung)]
+    polys += [*REFERENCE_POLYGONS.values(), *CANONICAL_POLYGONS]
+    seen = {"gap": set(), "spread": set(), "canonical": set()}
+    for pg in polys:
+        for g in (2, 3, 4):
+            want = fraction_gap_bound(pg, g)
+            assert satisfies_gap_bound(pg, g) == want
+            seen["gap"].add(want)
+            for p in (3, 5, 7):
+                want = fraction_spread_bound(pg, p, g)
+                assert satisfies_spread_bound(pg, p, g) == want
+                seen["spread"].add(want)
+                want = fraction_is_canonical(pg, p, g)
+                assert is_canonical(pg, p, g) == want
+                seen["canonical"].add(want)
+    assert all(outcomes == {True, False} for outcomes in seen.values())
 
 
 def test_enumerate_members_satisfy_admissibility():
