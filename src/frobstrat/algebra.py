@@ -1,12 +1,13 @@
-"""Exact arithmetic over prime fields: primality, truncated series, matrices.
+"""Exact values over prime fields: primality, truncated series, matrices.
 
 All values are immutable and small: the moduli in play are small primes,
-series live at precision a few multiples of p, and a colength matrix
-stacks p(p - l) rows of width p (20 rows at p = 5, 42 at p = 7), so plain
-Python integers are the right representation.  No floating point enters
-anywhere, and entries must be integers: a float or a fraction is refused
-rather than truncated.  :func:`require_prime` remembers up to
-:data:`PRIME_MEMO_SIZE` primes, so a repeated check costs a set lookup.
+a truncated series holds the p coefficients of an image in k[t]/(t^p),
+and a colength matrix stacks p(p - l) such rows (20 rows at p = 5, 42
+at p = 7), so plain Python integers are the right representation.  No
+floating point enters anywhere, and entries must be integers: a float or
+a fraction is refused rather than truncated.  :func:`require_prime`
+remembers up to :data:`PRIME_MEMO_SIZE` primes, so a repeated check
+costs a set lookup.
 """
 
 from __future__ import annotations
@@ -91,11 +92,12 @@ def _reduce(values, p: int) -> tuple[int, ...]:
 
 
 class TruncSeries(Record):
-    """A power series over F_p truncated at a fixed precision.
+    """A power series over F_p truncated below degree N = ``len(coeffs)``.
 
-    ``coeffs[j]`` holds the coefficient of t**j; the length of ``coeffs`` is
-    the precision N.  Operations discard every degree >= N, and the
-    precision is carried explicitly rather than inferred.
+    ``coeffs[j]`` holds the coefficient of t**j.  It is a value, not an
+    algebra: :func:`~frobstrat.local_frobenius.phi_image` returns its images
+    in k[t]/(t^p) as series of length p, and they are only compared, tested
+    for zero and stacked as matrix rows.
     """
 
     coeffs: tuple[int, ...]
@@ -117,10 +119,6 @@ class TruncSeries(Record):
         attrs = self.__dict__
         attrs["coeffs"], attrs["modulus"] = coeffs, modulus
         return self
-
-    @property
-    def precision(self) -> int:
-        return len(self.coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -295,12 +295,8 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
     d = _checked_int(d)
     verts = [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]
     pg = make_polygon(verts)
-    # Slope drop dy0/dx0 - dy1/dx1 == 2g - 2, cross-multiplied.
-    gap, v = 2 * g - 2, pg.vertices
-    if any(
-        (y1 - y0) * (x2 - x1) - (y2 - y1) * (x1 - x0) != gap * (x1 - x0) * (x2 - x1)
-        for (x0, y0), (x1, y1), (x2, y2) in zip(v, v[1:], v[2:])
-    ):
+    gap, segs = 2 * g - 2, _segments(pg)
+    if any(num != gap * den for num, den in map(_drop, segs, segs[1:])):
         raise InvariantViolation("extremal polygon slope drops are not 2g - 2")
     return pg
 

@@ -16,9 +16,10 @@ class Record:
     deleting an attribute raises.  The generic constructor binds arguments
     to fields like a call signature, then runs ``__post_init__`` if the
     class has one; a check there may normalise a field with
-    :func:`object.__setattr__`.  Types built in hot loops define their own
-    ``__init__`` with explicit parameters and set their fields the same
-    way.
+    :func:`object.__setattr__`.  Types built in hot loops also have a
+    trusted classmethod constructor, ``_from_terms`` or ``_from_reduced``:
+    it takes fields already in normal form, makes the checks inline and
+    writes the fields into the instance ``__dict__``.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

@@ -247,14 +247,16 @@ def b1_splits(p: int, g: int) -> bool:
 def stratum_table(ctx: CurveContext) -> tuple[StratumReport, ...]:
     """Assembled stratum rows for the reference configuration.
 
-    Every encoded dimension is cross-checked before the table is returned:
-    parameter-space dimension = fiber dimension + g + 1 (the base is the
-    curve times the line-bundle family), the P1 moduli dimension matches
-    the stratum of its dual polygon, the P4 moduli dimension matches the
-    extremal-stratum formula at r = 1, the P4 polygon is the extremal
-    polygon, enumerated fiber counts match their closed forms at q = p,
-    and every polygon passes the admissibility bounds.  A failure raises
-    :class:`InvariantViolation` since it can only indicate a bug.
+    Every encoded dimension is cross-checked by name before the table is
+    returned: ``quot=fiber+g+1`` (the base of the parameter space is the
+    curve times the line-bundle family), ``P1~dual`` (P1 has the moduli
+    dimension of its dual polygon's stratum), ``P4 dim`` (the
+    extremal-stratum formula at r = 1), ``P4=extremal`` (P4 is the
+    extremal polygon), ``counts=forms`` (enumerated fiber counts match
+    their closed forms at q = p), ``partition`` (the strict counts sum to
+    the fiber) and ``gap/spread bounds`` (every polygon is admissible).
+    One :class:`InvariantViolation` names every check that fails, since a
+    failure can only indicate a bug.
     """
     key = (ctx.p, ctx.g, ctx.r, ctx.d, ctx.line_degree)
     if key != REFERENCE_CONFIGURATION:
@@ -288,30 +290,29 @@ def stratum_table(ctx: CurveContext) -> tuple[StratumReport, ...]:
 
 
 def _check_table_consistency(ctx: CurveContext, census: FiberCensus) -> None:
-    base_dim = ctx.g + 1
-    for label, quot in _QUOT_STRATUM_DIM.items():
-        if quot != _FIBER_STRATUM_DIM[label] + base_dim:
-            raise InvariantViolation(
-                f"{label}: parameter-space dim {quot} is not fiber dim + "
-                f"{base_dim}"
-            )
+    """Run every named check of the table; one :class:`InvariantViolation`
+    names each check that fails."""
+    q, base_dim = census.field_size, ctx.g + 1
     dual_label = reference_label(dual_polygon(REFERENCE_POLYGONS["P1"]))
-    if _MODULI_STRATUM_DIM["P1"] != _MODULI_STRATUM_DIM[dual_label]:
-        raise InvariantViolation("P1 moduli dim differs from its dual's")
-    if _MODULI_STRATUM_DIM["P4"] != canonical_stratum_dim(1, ctx.g):
-        raise InvariantViolation("P4 moduli dim differs from extremal formula")
-    if REFERENCE_POLYGONS["P4"] != canonical_polygon(ctx.p, ctx.g, 1, 0):
-        raise InvariantViolation("P4 polygon is not the extremal polygon")
-    q = census.field_size
-    for label, dim in _FIBER_STRATUM_DIM.items():
-        if census.strict_counts[label] != q**dim:
-            raise InvariantViolation(f"{label}: strict count vs closed form")
-        if census.closed_counts[f"{label}+"] != sum(q**k for k in range(dim + 1)):
-            raise InvariantViolation(f"{label}: closed count vs closed form")
-    if sum(census.strict_counts.values()) != census.total:
-        raise InvariantViolation("strict counts do not partition the fiber")
-    for label, polygon in REFERENCE_POLYGONS.items():
-        if not satisfies_gap_bound(polygon, ctx.g):
-            raise InvariantViolation(f"{label} violates the slope-gap bound")
-        if not satisfies_spread_bound(polygon, ctx.p, ctx.g):
-            raise InvariantViolation(f"{label} violates the spread bound")
+    checks = {
+        "quot=fiber+g+1": all(
+            quot == _FIBER_STRATUM_DIM[label] + base_dim
+            for label, quot in _QUOT_STRATUM_DIM.items()
+        ),
+        "P1~dual": _MODULI_STRATUM_DIM["P1"] == _MODULI_STRATUM_DIM.get(dual_label),
+        "P4 dim": _MODULI_STRATUM_DIM["P4"] == canonical_stratum_dim(1, ctx.g),
+        "P4=extremal": REFERENCE_POLYGONS["P4"] == canonical_polygon(ctx.p, ctx.g, 1, 0),
+        "counts=forms": all(
+            census.strict_counts[label] == q**dim
+            and census.closed_counts[f"{label}+"] == sum(q**k for k in range(dim + 1))
+            for label, dim in _FIBER_STRATUM_DIM.items()
+        ),
+        "partition": sum(census.strict_counts.values()) == census.total,
+        "gap/spread bounds": all(
+            satisfies_gap_bound(pg, ctx.g) and satisfies_spread_bound(pg, ctx.p, ctx.g)
+            for pg in REFERENCE_POLYGONS.values()
+        ),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise InvariantViolation(f"failed table checks: {', '.join(failed)}")

@@ -1,11 +1,7 @@
 import os
-import sys
 from pathlib import Path
 
 import pytest
-
-# Allows `import oracles` from every test module regardless of invocation dir.
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 @pytest.fixture

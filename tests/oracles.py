@@ -1,15 +1,13 @@
-"""Brute-force reference implementations and arithmetic used only by the tests.
+"""Brute-force reference implementations used only by the tests.
 
 Each oracle recomputes a quantity along a path independent of the library
-code it checks: integer-polynomial convolution for series products,
-row-space enumeration for matrix ranks, one-step-at-a-time monomial
-rewriting for the pullback normal form, dense coefficient grids for the
-shifts and images of pullback elements, a box search over vertex chains
-for the polygon enumeration, and :class:`~fractions.Fraction` slopes and
-heights for the polygon order and slope bounds the library decides by
-integer cross-multiplication.  Prime-field scalars, the truncated
-series product with the two errors only it and the scalars raise, and the
-vertexwise polygon comparison live here too, since only the tests use them.
+code it checks: row-space enumeration for matrix ranks,
+one-step-at-a-time monomial rewriting for the pullback normal form, dense
+coefficient grids for the shifts and images of pullback elements, a box
+search over vertex chains for the polygon enumeration, and
+:class:`~fractions.Fraction` slopes and heights for the polygon order and
+slope bounds the library decides by integer cross-multiplication.  The
+vertexwise polygon comparison lives here too, since only the tests use it.
 """
 
 from __future__ import annotations
@@ -17,99 +15,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from frobstrat.algebra import TruncSeries, require_prime
-from frobstrat.errors import (
-    EndpointMismatch,
-    FrobstratError,
-    ModulusMismatch,
-    PrecisionExhausted,
-)
+from frobstrat.errors import EndpointMismatch, PrecisionExhausted
 from frobstrat.polygons import height, slope_gaps, slopes
-from frobstrat.record import Record
-
-
-class PrecisionMismatch(FrobstratError):
-    """Two truncated series carry different precisions."""
-
-
-class DivisionByZero(FrobstratError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
-class FieldElem(Record):
-    """An element of F_p, stored reduced into the window [0, p).
-
-    Arithmetic never mixes moduli: combining elements over different primes
-    raises :class:`ModulusMismatch` rather than silently coercing.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _check(self, other: FieldElem) -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ModulusMismatch(
-                f"cannot combine F_{self.modulus} with F_{other.modulus}"
-            )
-
-    def __add__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> FieldElem:
-        return FieldElem(-self.value, self.modulus)
-
-    def inverse(self) -> FieldElem:
-        if self.value == 0:
-            raise DivisionByZero(f"0 has no inverse in F_{self.modulus}")
-        return FieldElem(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Cauchy product truncated at the shared precision."""
-    if a.modulus != b.modulus:
-        raise ModulusMismatch(
-            f"series moduli differ: {a.modulus} vs {b.modulus}"
-        )
-    if a.precision != b.precision:
-        raise PrecisionMismatch(
-            f"series precisions differ: {a.precision} vs {b.precision}"
-        )
-    n = a.precision
-    out = [0] * n
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * b.coeffs[j]
-    return TruncSeries(tuple(out), a.modulus)
-
-
-def convolve_mod(a, b, p, precision):
-    """Series product via full integer convolution, then reduce and cut."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    out = out[:precision] + [0] * max(0, precision - len(out))
-    return tuple(c % p for c in out)
 
 
 def rowspace_rank(rows, p):

@@ -1,4 +1,4 @@
-"""Prime-field scalars, truncated series and matrix rank."""
+"""Primality, the prime memo and matrix rank over F_p."""
 
 from __future__ import annotations
 
@@ -13,22 +13,12 @@ from frobstrat.algebra import (
     PRIME_BOUND,
     PRIME_MEMO_SIZE,
     FpMatrix,
-    TruncSeries,
     is_prime,
     matrix_rank,
     require_prime,
 )
-from frobstrat.errors import InvalidParameters, ModulusMismatch
-from oracles import (
-    DivisionByZero,
-    FieldElem,
-    PrecisionMismatch,
-    convolve_mod,
-    rowspace_rank,
-    series_mul,
-)
-
-SMALL_PRIMES = (2, 3, 5, 7)
+from frobstrat.errors import InvalidParameters
+from oracles import rowspace_rank
 
 
 def test_is_prime_small_window():
@@ -89,111 +79,6 @@ def test_require_prime_memo_stays_bounded(monkeypatch):
         require_prime(q)
     with pytest.raises(InvalidParameters):
         require_prime(4)
-
-
-def test_nonprime_modulus_rejected():
-    with pytest.raises(InvalidParameters):
-        FieldElem(1, 4)
-    with pytest.raises(InvalidParameters):
-        FieldElem(1, 1)
-
-
-def test_inverse_of_two_mod_three():
-    assert FieldElem(2, 3).inverse() == FieldElem(2, 3)
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_inverse_of_one_is_one(p):
-    assert FieldElem(1, p).inverse() == FieldElem(1, p)
-
-
-def test_add_wraps_mod_three():
-    assert FieldElem(2, 3) + FieldElem(2, 3) == FieldElem(1, 3)
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(DivisionByZero):
-        FieldElem(0, 5).inverse()
-
-
-def test_modulus_mixing_raises():
-    with pytest.raises(ModulusMismatch):
-        FieldElem(1, 3) + FieldElem(1, 5)
-    with pytest.raises(ModulusMismatch):
-        FieldElem(1, 3) * FieldElem(1, 7)
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_field_axioms_exhaustive(p):
-    elems = [FieldElem(v, p) for v in range(p)]
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-    for a in elems:
-        assert a + (-a) == FieldElem(0, p)
-        if a:
-            assert a * a.inverse() == FieldElem(1, p)
-
-
-def test_series_identity():
-    one = TruncSeries((1, 0, 0), 3)
-    s = TruncSeries((1, 1, 0), 3)
-    assert series_mul(s, one) == s
-
-
-def test_series_product_frozen_example():
-    # (1 + t)(1 + 2t) over F_3 at precision 3; the cross terms cancel.
-    a = TruncSeries((1, 1, 0), 3)
-    b = TruncSeries((1, 2, 0), 3)
-    expected = TruncSeries((1, 0, 2), 3)
-    assert series_mul(a, b) == expected
-    assert convolve_mod((1, 1, 0), (1, 2, 0), 3, 3) == expected.coeffs
-
-
-def test_series_truncation():
-    t2 = TruncSeries((0, 0, 1), 3)
-    assert series_mul(t2, t2).is_zero()
-
-
-def test_series_mismatches():
-    with pytest.raises(ModulusMismatch):
-        series_mul(TruncSeries((1,), 3), TruncSeries((1,), 5))
-    with pytest.raises(PrecisionMismatch):
-        series_mul(TruncSeries((1,), 3), TruncSeries((1, 0), 3))
-
-
-def test_series_mul_matches_convolution_exhaustive():
-    p = 3
-    for n in (1, 2, 3):
-        coeffs = list(itertools.product(range(p), repeat=n))
-        for ca, cb in itertools.product(coeffs, repeat=2):
-            got = series_mul(TruncSeries(ca, p), TruncSeries(cb, p))
-            assert got.coeffs == convolve_mod(ca, cb, p, n)
-
-
-@pytest.mark.parametrize("n", (1, 2, 3))
-def test_series_mul_associative_commutative_exhaustive(n):
-    p = 3
-    all_series = [
-        TruncSeries(c, p) for c in itertools.product(range(p), repeat=n)
-    ]
-    for a, b in itertools.product(all_series, repeat=2):
-        assert series_mul(a, b) == series_mul(b, a)
-    for a, b, c in itertools.product(all_series, repeat=3):
-        assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-
-
-@given(
-    p=st.sampled_from(SMALL_PRIMES),
-    data=st.data(),
-)
-def test_series_mul_matches_convolution_random(p, data):
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    coeff = st.integers(min_value=0, max_value=p - 1)
-    ca = tuple(data.draw(coeff) for _ in range(n))
-    cb = tuple(data.draw(coeff) for _ in range(n))
-    got = series_mul(TruncSeries(ca, p), TruncSeries(cb, p))
-    assert got.coeffs == convolve_mod(ca, cb, p, n)
 
 
 def test_matrix_rank_identity():

@@ -349,11 +349,12 @@ def test_reference_configuration_has_one_definition():
     assert extrapolated(p, g, line_degree + 1)
 
 
-def test_module_invocation_smoke():
+def test_module_invocation_smoke(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "frobstrat", "classify", "--lambda", "1,0,0"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == GOLDEN_CLASSIFY

@@ -295,6 +295,12 @@ def test_colength_level_range():
         colength(CTX3, FiberPoint((1, 0, 0), 3), 3)
 
 
+@pytest.mark.parametrize("q", (2, 5))
+def test_colength_modulus_check(q):
+    with pytest.raises(ModulusMismatch, match=f"context over F_3, point over F_{q}"):
+        colength(CTX3, FiberPoint((1,) + (0,) * (q - 1), q), 1)
+
+
 def test_colength_matches_monomial_dichotomy():
     for point in fiber_points(3):
         has_t = submodule_contains_monomial(point, 1)

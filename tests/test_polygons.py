@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 from frobstrat.polygons import (
     REFERENCE_POLYGONS,
     LatticePolygon,
+    PolygonSet,
     canonical_polygon,
     dominates,
     dual_polygon,
@@ -66,6 +67,13 @@ def test_nonconvex_chain_rejected():
 def test_bad_start_rejected():
     with pytest.raises(BadStart):
         make_polygon([(1, 0), (2, 0)])
+    with pytest.raises(BadStart):
+        make_polygon([])
+
+
+def test_single_vertex_rejected():
+    with pytest.raises(InvalidParameters, match="at least two vertices"):
+        LatticePolygon(((0, 0),))
 
 
 def test_nonincreasing_ranks_rejected():
@@ -128,10 +136,18 @@ def test_enumerate_reference_configuration():
     # membership through iteration
     assert P3 in ps
     assert make_polygon([(0, 0), (3, 0)]) not in ps  # one segment: semistable
+    assert reference_label(make_polygon([(0, 0), (3, 0)])) is None
     # sorted ascending by height vectors at integer abscissae
     assert [reference_label(pg) for pg in ps] == ["P2", "P1", "P3", "P4"]
     ordered = [integer_heights(pg) for pg in ps]
     assert ordered == sorted(ordered)
+
+
+def test_polygon_set_validation():
+    with pytest.raises(InvalidParameters, match=r"end at \(3, 3\)"):
+        PolygonSet((P1, P2), 3, 2, 3, 1)
+    with pytest.raises(InvalidParameters, match="pairwise distinct"):
+        PolygonSet((P1, P2, P1), 3, 2, 3, 0)
 
 
 def test_enumerate_rank_two():

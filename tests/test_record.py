@@ -13,13 +13,11 @@ from frobstrat.local_frobenius import (
 )
 from frobstrat.polygons import REFERENCE_POLYGONS, LatticePolygon, PolygonSet
 from frobstrat.strata import CurveContext, FiberCensus, StratumReport
-from oracles import FieldElem
 
 P4 = REFERENCE_POLYGONS["P4"]
 
 #: One valid value of every record type, as its field values in order.
 VALUES = [
-    (FieldElem, (2, 3)),
     (TruncSeries, ((1, 0, 2), 3)),
     (FpMatrix, (((1, 2), (0, 1)), 3)),
     (LocalContext, (3, 9)),
@@ -83,7 +81,7 @@ def test_defaults_fill_missing_fields():
 
 
 def test_repr_names_every_field():
-    assert repr(FieldElem(5, 3)) == "FieldElem(value=2, modulus=3)"
+    assert repr(FiberPoint((2, 0, 0), 3)) == "FiberPoint(lambdas=(1, 0, 0), modulus=3)"
 
 
 def test_fiber_point_equality_is_projective():

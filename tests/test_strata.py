@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from frobstrat.errors import InvalidParameters, UnsupportedCharacteristic
+import frobstrat.strata as strata
+from frobstrat.cli import main
+from frobstrat.errors import (
+    InvalidParameters,
+    InvariantViolation,
+    UnsupportedCharacteristic,
+)
 from frobstrat.polygons import (
     REFERENCE_POLYGONS,
     canonical_polygon,
@@ -16,6 +22,7 @@ from frobstrat.polygons import (
 )
 from frobstrat.strata import (
     CurveContext,
+    FiberCensus,
     b1_splits,
     canonical_stratum_dim,
     fiber_census,
@@ -128,6 +135,83 @@ def test_stratum_table_internal_consistency():
     for row in rows.values():
         assert satisfies_gap_bound(row.polygon, 2)
         assert satisfies_spread_bound(row.polygon, 3, 2)
+
+
+def _census_one_more(*changes):
+    """A corruption: the census reports one more in each (field, key) of
+    ``changes`` (key None for the total); it wraps whatever census is in
+    place, so corruptions compose."""
+
+    def corrupt(mp):
+        inner = strata.fiber_census
+
+        def census(*args):
+            got = inner(*args)
+            fields = {f: getattr(got, f) for f in FiberCensus._fields}
+            for field, key in changes:
+                if key is None:
+                    fields[field] += 1
+                else:
+                    fields[field] = {**fields[field], key: fields[field][key] + 1}
+            return FiberCensus(**fields)
+
+        mp.setattr(strata, "fiber_census", census)
+
+    return corrupt
+
+
+#: Each named table check, with corruptions of the data it checks alone.
+CORRUPTIONS = [
+    ("quot=fiber+g+1", lambda mp: mp.setitem(strata._QUOT_STRATUM_DIM, "P3", 5)),
+    ("P1~dual", lambda mp: mp.setitem(strata._MODULI_STRATUM_DIM, "P1", 4)),
+    ("P4 dim", lambda mp: mp.setitem(strata._MODULI_STRATUM_DIM, "P4", 3)),
+    (
+        "P4=extremal",
+        lambda mp: mp.setattr(
+            strata, "canonical_polygon", lambda p, g, r, d: canonical_polygon(p, g + 1, r, d)
+        ),
+    ),
+    ("counts=forms", _census_one_more(("closed_counts", "P2+"))),
+    # The total grows with the strict count, so the partition still holds.
+    ("counts=forms", _census_one_more(("strict_counts", "P4"), ("total", None))),
+    ("partition", _census_one_more(("total", None))),
+    # Shapes outside the fiber strata, so the census never meets them: a
+    # slope drop of 7/2 within the spread bound, then drops of 2 that
+    # spread over 6.
+    (
+        "gap/spread bounds",
+        lambda mp: mp.setitem(
+            REFERENCE_POLYGONS, "P5", make_polygon([(0, 0), (1, 2), (3, -1)])
+        ),
+    ),
+    (
+        "gap/spread bounds",
+        lambda mp: mp.setitem(
+            REFERENCE_POLYGONS, "P6", make_polygon([(0, 0), (1, 3), (2, 4), (3, 3), (4, 0)])
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,corrupt", CORRUPTIONS, ids=[name for name, _ in CORRUPTIONS])
+def test_each_table_check_fails_by_name(monkeypatch, capsys, name, corrupt):
+    corrupt(monkeypatch)
+    with pytest.raises(InvariantViolation) as info:
+        stratum_table(CurveContext())
+    assert str(info.value) == f"failed table checks: {name}"
+    assert main(["strata-table"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"frobstrat: internal invariant violated: failed table checks: {name}\n"
+
+
+def test_one_violation_names_every_failed_check(monkeypatch):
+    for _, corrupt in CORRUPTIONS:
+        corrupt(monkeypatch)
+    names = ", ".join(dict.fromkeys(name for name, _ in CORRUPTIONS))
+    with pytest.raises(InvariantViolation) as info:
+        stratum_table(CurveContext())
+    assert str(info.value) == f"failed table checks: {names}"
 
 
 def test_stratum_table_json_schema():
