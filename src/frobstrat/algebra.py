@@ -7,7 +7,9 @@ at p = 7), so plain Python integers are the right representation.  No
 floating point enters anywhere, and entries must be integers: a float or
 a fraction is refused rather than truncated.  :func:`require_prime`
 remembers up to :data:`PRIME_MEMO_SIZE` primes, so a repeated check
-costs a set lookup.
+costs a set lookup.  :data:`WORK_BUDGET` is the one bound on how many
+items a public call may build; the calls whose work grows with p refuse
+before building anything when they would exceed it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ def is_prime(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+#: Most items one call may build: the (p^p - 1)/(p - 1) points of
+#: :func:`~frobstrat.local_frobenius.fiber_points` (the 137,257 points of
+#: P^6(F_7) fit, the 2.9·10^10 points of P^10(F_11) do not), the p + 1
+#: vertices of :func:`~frobstrat.polygons.canonical_polygon` and the
+#: p^2(p^2 - 1)/3 tau monomials one
+#: :func:`~frobstrat.local_frobenius.colength_profile` shifts (941,360 at
+#: p = 41 fit, 1,138,984 at p = 43 do not).
+WORK_BUDGET = 10**6
+
+
+def _over_budget(what: str, count, items: str) -> InvalidParameters:
+    """The error for a call that would build ``count`` ``items``, more than
+    :data:`WORK_BUDGET`; ``what`` names the call and its verb."""
+    return InvalidParameters(
+        f"{what} {count} {items}, over the work budget of {WORK_BUDGET} {items}"
+    )
 
 
 #: Most primes :func:`require_prime` remembers; the memo starts over when full.

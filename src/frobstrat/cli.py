@@ -24,14 +24,6 @@ from .errors import (
     InvariantViolation,
 )
 
-#: Most items one call may build: the fiber points ``verify-claims`` checks
-#: (the 137,257 points of P^6(F_7) fit, the 2.9·10^10 points of P^10(F_11)
-#: do not), the p + 1 vertices of ``canonical-polygon`` and the
-#: p^2(p^2 - 1)/3 tau monomials one ``classify`` profile shifts (941,360 at
-#: p = 41 fit, 1,138,984 at p = 43 do not).
-WORK_BUDGET = 10**6
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with status 1 on usage errors."""
 
@@ -105,9 +97,6 @@ def _cmd_polygons(args):
 
 
 def _cmd_classify(args):
-    """Refused before any profile is built when the tau monomials its
-    colength profile shifts exceed :data:`WORK_BUDGET`: p(m + 1) for every
-    level l and every power m >= l, p^2(p^2 - 1)/3 in total."""
     from .local_frobenius import (
         FiberPoint,
         LocalContext,
@@ -118,12 +107,6 @@ def _cmd_classify(args):
 
     lambdas = _parse_lambdas(args.lambdas)
     ctx = LocalContext.default(args.p)
-    monomials = args.p**2 * (args.p**2 - 1) // 3
-    if monomials > WORK_BUDGET:
-        raise InvalidParameters(
-            f"classify -p {args.p} would shift {monomials} tau monomials, "
-            f"over the work budget of {WORK_BUDGET} monomials"
-        )
     point = FiberPoint(lambdas, args.p)
     profile = colength_profile(ctx, point, args.g, args.deg_line)
     with warnings.catch_warnings():
@@ -198,15 +181,8 @@ def _cmd_strata_table(args):
 
 
 def _cmd_canonical_polygon(args):
-    """Refused before any vertex is built when its p + 1 vertices exceed
-    :data:`WORK_BUDGET`."""
     from .polygons import canonical_polygon, canonical_stratum_dim, vertex_lists
 
-    if args.p + 1 > WORK_BUDGET:
-        raise InvalidParameters(
-            f"canonical-polygon -p {args.p} would build {args.p + 1} vertices, "
-            f"over the work budget of {WORK_BUDGET} vertices"
-        )
     polygon = canonical_polygon(args.p, args.g, args.r, args.d)
     dim = canonical_stratum_dim(args.r, args.g)
     payload = {"stratum_dim": dim, "vertices": vertex_lists(polygon)}
@@ -215,11 +191,7 @@ def _cmd_canonical_polygon(args):
 
 def _cmd_verify_claims(args):
     """Membership of tau^(p-1) t^j against the monomial criterion, for the
-    four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p).
-
-    Refused before any point is built when P^(p-1)(F_p) has more points
-    than :data:`WORK_BUDGET`.
-    """
+    four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p)."""
     from .local_frobenius import (
         LocalContext,
         fiber_points,
@@ -230,16 +202,7 @@ def _cmd_verify_claims(args):
     )
 
     p = args.p
-    ctx = LocalContext.default(p)  # refuses p < 2 before p - 1 divides below
-    # From p = 100 on, (p^p - 1)/(p - 1) exceeds 10^190: over the budget, and
-    # too long to be worth computing in full.
-    huge = p >= 100
-    count = f"({p}^{p} - 1)/{p - 1}" if huge else (p**p - 1) // (p - 1)
-    if huge or count > WORK_BUDGET:
-        raise InvalidParameters(
-            f"verify-claims -p {p} would check {count} fiber points, over "
-            f"the work budget of {WORK_BUDGET} points"
-        )
+    ctx = LocalContext.default(p)
     points = fiber_points(p)
     top = tau_power(ctx, p - 1)
     results = []

@@ -41,9 +41,11 @@ from itertools import product
 from math import comb
 
 from .algebra import (
+    WORK_BUDGET,
     FpMatrix,
     TruncSeries,
     _checked_int,
+    _over_budget,
     _reduce,
     matrix_rank,
     require_prime,
@@ -178,8 +180,15 @@ class FiberPoint(Record):
 
 
 def fiber_points(p: int) -> tuple[FiberPoint, ...]:
-    """All points of P^{p-1}(F_p) in a fixed lexicographic order."""
+    """All points of P^{p-1}(F_p) in a fixed lexicographic order; refused
+    before any is built when the (p^p - 1)/(p - 1) points exceed
+    :data:`~frobstrat.algebra.WORK_BUDGET` (p <= 7 runs, p = 11 does not)."""
     require_prime(p)
+    # From p = 100 on the count exceeds 10^190: named by its formula, not computed.
+    huge = p >= 100
+    count = f"({p}^{p} - 1)/{p - 1}" if huge else (p**p - 1) // (p - 1)
+    if huge or count > WORK_BUDGET:
+        raise _over_budget(f"P^{p - 1}(F_{p}) has", count, "points")
     return tuple(
         FiberPoint((0,) * lead + (1,) + tail, p)
         for lead in range(p)
@@ -330,10 +339,19 @@ def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
 def colength_profile(
     ctx: LocalContext, point: FiberPoint, genus: int, line_degree: int
 ) -> ColengthProfile:
-    """Colengths at every level together with the induced degrees."""
+    """Colengths at every level together with the induced degrees.
+
+    Refused before any level is built when the tau monomials it shifts,
+    p(m + 1) for each level l and power m >= l, p^2(p^2 - 1)/3 in all,
+    exceed :data:`~frobstrat.algebra.WORK_BUDGET` (p <= 41 runs, p = 43
+    does not)."""
     genus = _checked_int(genus, "genus", 2)
     line_degree = _checked_int(line_degree)
     p = ctx.p
+    monomials = p * p * (p * p - 1) // 3
+    if monomials > WORK_BUDGET:
+        what = f"a colength profile at p = {p} shifts"
+        raise _over_budget(what, monomials, "tau monomials")
     cols = {lv: colength(ctx, point, lv) for lv in range(1, p)}
     inter = {
         lv: level_degree(p, genus, line_degree, lv) - cols[lv]

@@ -19,14 +19,8 @@ from __future__ import annotations
 import math
 from operator import index
 
-from .algebra import _checked_int, _not_integral, require_prime
-from .errors import (
-    BadStart,
-    EndpointMismatch,
-    InvalidParameters,
-    InvariantViolation,
-    NotConvex,
-)
+from .algebra import WORK_BUDGET, _checked_int, _not_integral, _over_budget, require_prime
+from .errors import BadStart, EndpointMismatch, InvalidParameters, NotConvex
 from .record import Record
 
 
@@ -169,8 +163,8 @@ def height(pg: LatticePolygon, x) -> Fraction:
         raise InvalidParameters(f"abscissa {x} outside [0, {pg.rank}]")
     for (x0, y0), (x1, y1) in zip(pg.vertices, pg.vertices[1:]):
         if x <= x1:
-            return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
-    raise InvariantViolation("vertex chain does not cover its own range")
+            break  # at the last segment at the latest, as x <= rank
+    return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
 
 
 def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
@@ -286,19 +280,21 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
     """The extremal shape attained by Frobenius direct images.
 
     Vertices (i*r, d*i + r*i*(p-i)*(g-1)) for 0 <= i <= p, ending at
-    (r*p, p*d) where d is the degree of the rank r*p bundle.  Every drop
-    between successive slopes equals 2g - 2, which is validated.
+    (r*p, p*d) where d is the degree of the rank r*p bundle.  Segment i
+    has slope d/r + (p - 2i - 1)(g - 1), so every drop between successive
+    slopes is 2g - 2.  Refused with :class:`InvalidParameters` before any
+    vertex is built when the p + 1 vertices exceed
+    :data:`~frobstrat.algebra.WORK_BUDGET`.
     """
     require_prime(p)
     g = _checked_int(g, "genus", 2)
     r = _checked_int(r, "rank", 1)
     d = _checked_int(d)
-    verts = [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]
-    pg = make_polygon(verts)
-    gap, segs = 2 * g - 2, _segments(pg)
-    if any(num != gap * den for num, den in map(_drop, segs, segs[1:])):
-        raise InvariantViolation("extremal polygon slope drops are not 2g - 2")
-    return pg
+    if p + 1 > WORK_BUDGET:
+        raise _over_budget(f"the canonical polygon at p = {p} has", p + 1, "vertices")
+    return make_polygon(
+        [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]
+    )
 
 
 def canonical_stratum_dim(r: int, g: int) -> int:

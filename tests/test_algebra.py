@@ -1,4 +1,4 @@
-"""Primality, the prime memo and matrix rank over F_p."""
+"""Primality, the prime memo, the work budget and matrix rank over F_p."""
 
 from __future__ import annotations
 
@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import frobstrat.algebra as algebra
+from conftest import _run_capped
 from frobstrat.algebra import (
     PRIME_BOUND,
     PRIME_MEMO_SIZE,
+    WORK_BUDGET,
     FpMatrix,
     is_prime,
     matrix_rank,
@@ -79,6 +81,36 @@ def test_require_prime_memo_stays_bounded(monkeypatch):
         require_prime(q)
     with pytest.raises(InvalidParameters):
         require_prime(4)
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [
+        ("fiber_points(11)", "28531167061 points"),
+        ("fiber_points(101)", "(101^101 - 1)/100 points"),
+        (
+            "colength_profile(LocalContext.default(43), FiberPoint([1] * 43, 43), 2, -1)",
+            "1138984 tau monomials",
+        ),
+        ("canonical_polygon(1000000007, 2, 1, 0)", "1000000008 vertices"),
+    ],
+    ids=["fiber_points-p11", "fiber_points-p101", "colength_profile-p43", "canonical-p1e9"],
+)
+def test_calls_over_the_work_budget_are_refused(child_env, call, count):
+    """Each call is refused before it builds anything large.  It runs in a
+    child capped at 1 GiB: without its gate it would fail there, run out
+    the timeout or print nothing, instead of taking the machine's memory."""
+    code = (
+        "from frobstrat import *\n"
+        "try:\n"
+        f"    {call}\n"
+        "except InvalidParameters as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = _run_capped(child_env, "-c", code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert count in proc.stdout
+    assert str(WORK_BUDGET) in proc.stdout
 
 
 def test_matrix_rank_identity():

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 
 import pytest
 
+from conftest import _run_capped
 from frobstrat.cli import COMMANDS, build_parser, main
 
 GOLDEN_CLASSIFY = (
@@ -411,32 +411,14 @@ def test_commands_without_fractions_never_import_it(child_env, argv):
     assert proc.returncode == 0, proc.stderr
 
 
-def _run_capped(env, *argv, timeout=60):
-    """``python -m frobstrat`` in a child whose address space is capped at
-    1 GiB, so a command whose memory grows with a flag fails instead of
-    taking the machine's memory."""
-    cap = 1 << 30
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    return subprocess.run(
-        [sys.executable, "-m", "frobstrat", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=limit,
-        timeout=timeout,
-    )
-
-
 @pytest.mark.parametrize(
     "p,count", [(11, "28531167061"), (101, "(101^101 - 1)/100")], ids=["p11", "p101"]
 )
 def test_verify_claims_refuses_over_budget(child_env, p, count):
-    from frobstrat.cli import WORK_BUDGET
+    from frobstrat.algebra import WORK_BUDGET
 
-    proc = _run_capped(child_env, "verify-claims", "-p", str(p), timeout=30)
+    argv = ("-m", "frobstrat", "verify-claims", "-p", str(p))
+    proc = _run_capped(child_env, *argv, timeout=30)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert count in proc.stderr
@@ -444,7 +426,8 @@ def test_verify_claims_refuses_over_budget(child_env, p, count):
 
 
 def test_verify_claims_at_p7_is_within_budget(child_env):
-    proc = _run_capped(child_env, "verify-claims", "-p", "7", "--format", "tsv")
+    argv = ("-m", "frobstrat", "verify-claims", "-p", "7", "--format", "tsv")
+    proc = _run_capped(child_env, *argv)
     assert proc.returncode == 0, proc.stderr
     n = (7**7 - 1) // 6
     assert proc.stdout.splitlines() == [f"{c}\tpass\t{n}\t{n}" for c in "abcd"]
@@ -456,10 +439,10 @@ def test_verify_claims_at_p7_is_within_budget(child_env):
 def test_classify_refuses_over_budget(child_env, p, count):
     """p^2(p^2 - 1)/3 tau monomials over the budget are refused before any
     profile is built (p = 101 took 41.6 s without the budget)."""
-    from frobstrat.cli import WORK_BUDGET
+    from frobstrat.algebra import WORK_BUDGET
 
     argv = ("classify", "-p", str(p), "--lambda", ",".join(["1"] * p))
-    proc = _run_capped(child_env, *argv, timeout=30)
+    proc = _run_capped(child_env, "-m", "frobstrat", *argv, timeout=30)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert f"{count} tau monomials" in proc.stderr
@@ -468,17 +451,18 @@ def test_classify_refuses_over_budget(child_env, p, count):
 
 def test_classify_at_p41_is_within_budget(child_env):
     argv = ("classify", "-p", "41", "--lambda", ",".join(["1"] * 41), "--format", "tsv")
-    proc = _run_capped(child_env, *argv)
+    proc = _run_capped(child_env, "-m", "frobstrat", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip("\n").split("\t")[2:] == ["41"] * 40  # E1..E40
 
 
 def test_canonical_polygon_refuses_over_budget(child_env):
     """p + 1 vertices over the budget are refused before any is built."""
-    from frobstrat.cli import WORK_BUDGET
+    from frobstrat.algebra import WORK_BUDGET
 
     p = 1000000007  # prime; its vertices would take about 400 GiB
-    proc = _run_capped(child_env, "canonical-polygon", "-p", str(p), timeout=30)
+    argv = ("-m", "frobstrat", "canonical-polygon", "-p", str(p))
+    proc = _run_capped(child_env, *argv, timeout=30)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert f"{p + 1} vertices" in proc.stderr
@@ -491,7 +475,7 @@ def test_huge_p_is_refused_by_the_primality_bound(child_env):
 
     p = str(10**24 + 7)
     for argv in (("polygons", "-p", p), ("classify", "-p", p, "--lambda", "1")):
-        proc = _run_capped(child_env, *argv, timeout=30)
+        proc = _run_capped(child_env, "-m", "frobstrat", *argv, timeout=30)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert str(PRIME_BOUND) in proc.stderr

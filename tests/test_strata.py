@@ -111,6 +111,18 @@ def test_fiber_census_rejects_other_parameters():
         fiber_census(3, 2, 0)
 
 
+def test_fiber_census_refuses_an_unclassified_polygon(monkeypatch, capsys):
+    stray = make_polygon([(0, 0), (3, 0)])
+    monkeypatch.setattr(strata, "fiber_polygon", lambda *args: stray)
+    with pytest.raises(InvariantViolation) as info:
+        fiber_census(3, 2, -1)
+    assert str(info.value) == f"unclassified fiber polygon {stray}"
+    assert main(["fiber-census"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"frobstrat: internal invariant violated: {info.value}\n"
+
+
 def test_stratum_table_reference_values():
     rows = {r.polygon_id: r for r in stratum_table(CurveContext())}
     assert list(rows) == ["P1", "P2", "P3", "P4"]
