@@ -61,7 +61,6 @@ _EXPORTS = {
     "polygons": (
         "REFERENCE_POLYGONS",
         "LatticePolygon",
-        "PolygonSet",
         "canonical_polygon",
         "canonical_stratum_dim",
         "dominates",

@@ -45,13 +45,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-#: Most items one call may build: the (p^p - 1)/(p - 1) points of
-#: :func:`~frobstrat.local_frobenius.fiber_points` (the 137,257 points of
-#: P^6(F_7) fit, the 2.9·10^10 points of P^10(F_11) do not), the p + 1
-#: vertices of :func:`~frobstrat.polygons.canonical_polygon` and the
-#: p^2(p^2 - 1)/3 tau monomials one
-#: :func:`~frobstrat.local_frobenius.colength_profile` shifts (941,360 at
-#: p = 41 fit, 1,138,984 at p = 43 do not).
+#: Most items one call may build or visit.  Each call whose work grows
+#: with its input names its count in its docstring and refuses before
+#: the work when the count exceeds this; the README lists every gate.
 WORK_BUDGET = 10**6
 
 

@@ -133,14 +133,7 @@ def _cmd_fiber_census(args):
     from .strata import fiber_census
 
     census = fiber_census(*REFERENCE_PARAMETERS)
-    payload = {
-        "closed_counts": census.closed_counts,
-        "closed_forms": census.closed_forms,
-        "field_size": census.field_size,
-        "strict_counts": census.strict_counts,
-        "strict_forms": census.strict_forms,
-        "total": census.total,
-    }
+    payload = {f: getattr(census, f) for f in census._fields}
     lines = [
         f"{label}\t{census.strict_counts[label]}\t{census.strict_forms[label]}"
         for label in sorted(census.strict_counts)

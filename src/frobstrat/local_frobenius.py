@@ -108,7 +108,8 @@ class PullbackElement(Record):
     equality of elements, and the colength path costs time in the number
     of terms, never in the precision.  ``coeffs`` is the dense p ×
     precision view, ``coeffs[i][j]`` the coefficient of t^i ⊗ t^j, built
-    only when it is read.
+    only when it is read and refused when its p × precision cells exceed
+    :data:`~frobstrat.algebra.WORK_BUDGET`.
     """
 
     terms: tuple[tuple[int, int, int], ...]
@@ -143,6 +144,9 @@ class PullbackElement(Record):
 
     @property
     def coeffs(self) -> tuple[tuple[int, ...], ...]:
+        cells = self.modulus * self.precision
+        if cells > WORK_BUDGET:
+            raise _over_budget("the dense grid of this element has", cells, "cells")
         grid = [[0] * self.precision for _ in range(self.modulus)]
         for right, left, c in self.terms:
             grid[left][right] = c
@@ -214,13 +218,16 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     exponent k is below p <= precision/2, so nothing is truncated; and
     C(m, k) is prime to p, so no term vanishes.
     :func:`element_from_monomials` is the general path it is checked
-    against.
+    against.  Its binomials have up to m bits, so the time grows as m^3:
+    refused when (m + 1)^2 exceeds :data:`~frobstrat.algebra.WORK_BUDGET`.
     """
     if type(m) is not int:
         m = _checked_int(m)
     p = ctx.p
     if not 0 <= m <= p - 1:
         raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
+    if (m + 1) * (m + 1) > WORK_BUDGET:
+        raise _over_budget(f"tau^{m} takes about", (m + 1) ** 2, "bit steps")
     terms = tuple([(k, m - k, (-1) ** k * comb(m, k) % p) for k in range(m + 1)])
     return PullbackElement._from_terms(terms, ctx.precision, p)
 
@@ -291,6 +298,8 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     tau^l, ..., tau^(p-1); its image in k[t]/(t^p) under the tensored
     functional is spanned by the images of tau^m t^j for 0 <= j < p (for
     j >= p the image dies), and the colength is the F_p rank of that span.
+    Refused when its p(m + 1) tau monomials for level <= m < p exceed
+    :data:`~frobstrat.algebra.WORK_BUDGET` (level 1: p <= 113 runs).
     """
     if type(level) is not int:
         level = _checked_int(level)
@@ -301,6 +310,9 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
         raise ModulusMismatch(
             f"context over F_{p}, point over F_{point.modulus}"
         )
+    monomials = p * (p * (p + 1) - level * (level + 1)) // 2
+    if monomials > WORK_BUDGET:
+        raise _over_budget(f"colength at p = {p} shifts", monomials, "tau monomials")
     rows = []
     for m in range(level, p):
         base = tau_power(ctx, m)
@@ -321,9 +333,6 @@ class ColengthProfile(Record):
     extension rather than an established classification.
     """
 
-    modulus: int
-    genus: int
-    line_degree: int
     colengths: dict[int, int]
     intersection_degrees: dict[int, int]
     extrapolated: bool
@@ -359,7 +368,6 @@ def colength_profile(
     }
     profile = object.__new__(ColengthProfile)  # every field set, as by Record's binder
     attrs = profile.__dict__
-    attrs["modulus"], attrs["genus"], attrs["line_degree"] = p, genus, line_degree
     attrs["colengths"], attrs["intersection_degrees"] = cols, inter
     attrs["extrapolated"] = (p, genus, line_degree) != REFERENCE_PARAMETERS
     return profile

@@ -17,9 +17,11 @@ so only the functions that return a Fraction import :mod:`fractions`.
 from __future__ import annotations
 
 import math
+from itertools import count
 from operator import index
 
-from .algebra import WORK_BUDGET, _checked_int, _not_integral, _over_budget, require_prime
+from .algebra import WORK_BUDGET, _checked_int, _not_integral, _over_budget
+from .algebra import is_prime, require_prime
 from .errors import BadStart, EndpointMismatch, InvalidParameters, NotConvex
 from .record import Record
 
@@ -71,30 +73,6 @@ class LatticePolygon(Record):
 
     def __str__(self) -> str:
         return "->".join(f"({a},{b})" for a, b in self.vertices)
-
-
-class PolygonSet(Record):
-    """A deduplicated, deterministically ordered family of polygons sharing
-    the endpoint (r, p*d)."""
-
-    polygons: tuple[LatticePolygon, ...]
-    p: int
-    g: int
-    r: int
-    d: int
-
-    def __post_init__(self) -> None:
-        end = (self.r, self.p * self.d)
-        if any(pg.endpoint != end for pg in self.polygons):
-            raise InvalidParameters(f"every member must end at {end}")
-        if len(set(self.polygons)) != len(self.polygons):
-            raise InvalidParameters("members must be pairwise distinct")
-
-    def __iter__(self):
-        return iter(self.polygons)
-
-    def __len__(self) -> int:
-        return len(self.polygons)
 
 
 def make_polygon(points) -> LatticePolygon:
@@ -170,9 +148,13 @@ def height(pg: LatticePolygon, x) -> Fraction:
 def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Heights at the integer abscissae 0, 1, ..., rank, in one pass over
     the segments: (y0*dx + dy*k)/dx at x0 + k on the segment from (x0, y0)
-    with run dx and rise dy, then the endpoint's degree."""
+    with run dx and rise dy, then the endpoint's degree.  Refused when the
+    rank + 1 abscissae exceed :data:`~frobstrat.algebra.WORK_BUDGET`."""
     from fractions import Fraction
     verts = pg.vertices
+    n = verts[-1][0] + 1
+    if n > WORK_BUDGET:
+        raise _over_budget(f"a polygon of rank {n - 1} has", n, "integer abscissae")
     heights: list[Fraction] = []
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
         dx, dy = x1 - x0, y1 - y0
@@ -220,14 +202,18 @@ def satisfies_gap_bound(pg: LatticePolygon, g: int) -> bool:
 
 
 def satisfies_spread_bound(pg: LatticePolygon, p: int, g: int) -> bool:
-    """Largest minus smallest slope is at most min(r-1, p-1)(2g-2)."""
+    """Largest minus smallest slope is at most min(r-1, p-1)(2g-2), p prime."""
     p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
+    if not is_prime(p):
+        raise InvalidParameters(f"modulus must be a prime integer, got {p}")
     segs = _segments(pg)
     n, d = _drop(segs[0], segs[-1])
     return n <= min(pg.rank - 1, p - 1) * (2 * g - 2) * d
 
 
-def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
+def enumerate_frobenius_polygons(
+    p: int, g: int, r: int, d: int
+) -> tuple[LatticePolygon, ...]:
     """All destabilized pull-back shapes from (0, 0) to (r, p*d).
 
     Enumerates canonical polygons with at least two segments, integral
@@ -240,9 +226,11 @@ def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
     rk*prev) after a segment of slope prev.  The segment reaching x = r
     has its degree fixed by the endpoint and is kept when its slope meets
     the same bounds.  The walk is exhaustive by construction, and strictly
-    decreasing slopes make each chain canonical and reached once.  Members
-    are sorted by their height vectors at integer abscissae, a total order
-    refining domination.
+    decreasing slopes make each chain canonical and reached once.  Returns
+    a tuple of pairwise distinct polygons ending at (r, p*d), sorted by
+    their height vectors at integer abscissae, a total order refining
+    domination; refused once the walk visits more vertex chains than
+    :data:`~frobstrat.algebra.WORK_BUDGET` ((11, 3, 7, 0) visits 200,761).
     """
     from fractions import Fraction
     require_prime(p)
@@ -254,8 +242,12 @@ def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
     spread = min(r - 1, p - 1) * gap
     chord = Fraction(total, r)
     found: list[LatticePolygon] = []
+    nodes = count(1)
 
     def walk(verts, first, prev):
+        if next(nodes) > WORK_BUDGET:
+            what = f"the polygon walk at (p, g, r, d) = {(p, g, r, d)} visits at least"
+            raise _over_budget(what, WORK_BUDGET + 1, "vertex chains")
         x, y = verts[-1]
         s = Fraction(total - y, r - x)  # the segment that closes the chain
         if first is not None and prev - gap <= s < prev and first - s <= spread:
@@ -273,7 +265,7 @@ def enumerate_frobenius_polygons(p: int, g: int, r: int, d: int) -> PolygonSet:
 
     walk([(0, 0)], None, None)
     found.sort(key=integer_heights)
-    return PolygonSet(tuple(found), p, g, r, d)
+    return tuple(found)
 
 
 def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
@@ -305,8 +297,10 @@ def canonical_stratum_dim(r: int, g: int) -> int:
 
 
 def is_canonical(pg: LatticePolygon, p: int, g: int) -> bool:
-    """True when the slope spread equals exactly (p - 1)(2g - 2)."""
+    """True when the slope spread equals exactly (p - 1)(2g - 2), p prime."""
     p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
+    if not is_prime(p):
+        raise InvalidParameters(f"modulus must be a prime integer, got {p}")
     segs = _segments(pg)
     n, d = _drop(segs[0], segs[-1])
     return n == (p - 1) * (2 * g - 2) * d

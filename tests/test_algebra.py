@@ -93,8 +93,29 @@ def test_require_prime_memo_stays_bounded(monkeypatch):
             "1138984 tau monomials",
         ),
         ("canonical_polygon(1000000007, 2, 1, 0)", "1000000008 vertices"),
+        ("tau_power(LocalContext.default(999983), 999982)", "999966000289 bit steps"),
+        (
+            "colength(LocalContext.default(1009), FiberPoint([1] * 1009, 1009), 1)",
+            "514129896 tau monomials",
+        ),
+        ("filtration_degrees(999999999989, 2, -1)", "999999999989 graded pieces"),
+        ("tau_power(LocalContext(3, 10**9), 2).coeffs", "3000000000 cells"),
+        (
+            "integer_heights(make_polygon([(0, 0), (1, 1), (10**12, 0)]))",
+            "1000000000001 integer abscissae",
+        ),
     ],
-    ids=["fiber_points-p11", "fiber_points-p101", "colength_profile-p43", "canonical-p1e9"],
+    ids=[
+        "fiber_points-p11",
+        "fiber_points-p101",
+        "colength_profile-p43",
+        "canonical-p1e9",
+        "tau_power-m999982",
+        "colength-p1009",
+        "filtration_degrees-p1e12",
+        "coeffs-precision1e9",
+        "integer_heights-rank1e12",
+    ],
 )
 def test_calls_over_the_work_budget_are_refused(child_env, call, count):
     """Each call is refused before it builds anything large.  It runs in a

@@ -469,6 +469,26 @@ def test_canonical_polygon_refuses_over_budget(child_env):
     assert str(WORK_BUDGET) in proc.stderr
 
 
+def test_polygons_refuses_over_budget(child_env):
+    """A walk past the budget's vertex chains is refused (this command ran
+    past 5 s under the 1 GiB cap without the budget)."""
+    from frobstrat.algebra import WORK_BUDGET
+
+    argv = ("-m", "frobstrat", "polygons", "-p", "13", "-g", "3", "-r", "10", "-d", "0")
+    proc = _run_capped(child_env, *argv, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert f"{WORK_BUDGET + 1} vertex chains" in proc.stderr
+
+
+def test_polygons_at_the_top_ladder_rung_is_within_budget(child_env):
+    """(11, 3, 7, 0), the benchmark's largest rung, walks 200,761 chains."""
+    argv = ("-m", "frobstrat", "polygons", "-p", "11", "-g", "3", "-r", "7", "-d", "0")
+    proc = _run_capped(child_env, *argv, "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5766
+
+
 def test_huge_p_is_refused_by_the_primality_bound(child_env):
     """Trial division of a 25-digit -p would run for days; it is refused."""
     from frobstrat.algebra import PRIME_BOUND

@@ -120,7 +120,7 @@ BELOW_BOUND = [
 
 @pytest.mark.parametrize("slot,value", BELOW_BOUND, ids=[s for s, _ in BELOW_BOUND])
 def test_genus_one_and_p_one_are_refused(slot, value):
-    """Genus 1, and p = 1 where no prime check runs, are refused rather than
-    answered."""
+    """Genus 1, and p = 1 in the polygon predicates, are refused by their
+    lower bound before any primality test, rather than answered."""
     with pytest.raises(InvalidParameters, match="must be at least 2, got 1"):
         BUILDERS[slot](value)

@@ -462,6 +462,22 @@ def test_large_precision_keeps_elements_sparse():
         right_multiply(top, n - 2)
 
 
+def test_work_budget_gates_fall_where_documented():
+    """tau^m runs up to m = 999 and is refused from m = 1000; a level-1
+    colength runs at p = 113 and is refused at p = 127; the dense grid runs
+    at p = 577 and default precision, 998,787 cells, and not at p = 587."""
+    ctx = LocalContext.default(1009)
+    assert len(tau_power(ctx, 999).terms) == 1000
+    with pytest.raises(InvalidParameters, match="1002001 bit steps"):
+        tau_power(ctx, 1000)
+    assert colength(LocalContext.default(113), FiberPoint([1] * 113, 113), 1) == 113
+    with pytest.raises(InvalidParameters, match="1032129 tau monomials"):
+        colength(LocalContext.default(127), FiberPoint([1] * 127, 127), 1)
+    assert len(tau_power(LocalContext.default(577), 1).coeffs) == 577
+    with pytest.raises(InvalidParameters, match="1033707 cells"):
+        tau_power(LocalContext.default(587), 1).coeffs
+
+
 def test_unreduced_constructors_keep_their_checks():
     with pytest.raises(InvalidParameters):
         PullbackElement(((0, 0, 1),), 4, 4)  # prime modulus

@@ -11,7 +11,6 @@ from hypothesis import assume, given, strategies as st
 from frobstrat.polygons import (
     REFERENCE_POLYGONS,
     LatticePolygon,
-    PolygonSet,
     canonical_polygon,
     dominates,
     dual_polygon,
@@ -131,9 +130,8 @@ def test_dominates_is_partial_order_on_reference_set():
 
 def test_enumerate_reference_configuration():
     ps = enumerate_frobenius_polygons(3, 2, 3, 0)
-    assert set(ps.polygons) == set(REFERENCE_POLYGONS.values())
+    assert set(ps) == set(REFERENCE_POLYGONS.values())
     assert len(ps) == 4
-    # membership through iteration
     assert P3 in ps
     assert make_polygon([(0, 0), (3, 0)]) not in ps  # one segment: semistable
     assert reference_label(make_polygon([(0, 0), (3, 0)])) is None
@@ -141,13 +139,6 @@ def test_enumerate_reference_configuration():
     assert [reference_label(pg) for pg in ps] == ["P2", "P1", "P3", "P4"]
     ordered = [integer_heights(pg) for pg in ps]
     assert ordered == sorted(ordered)
-
-
-def test_polygon_set_validation():
-    with pytest.raises(InvalidParameters, match=r"end at \(3, 3\)"):
-        PolygonSet((P1, P2), 3, 2, 3, 1)
-    with pytest.raises(InvalidParameters, match="pairwise distinct"):
-        PolygonSet((P1, P2, P1), 3, 2, 3, 0)
 
 
 def test_enumerate_rank_two():
@@ -178,6 +169,8 @@ ORACLE_PARAMS = [
     (2, 3, 4, -1),
     (2, 2, 3, -2),
 ]
+#: The first three ladder rungs of the benchmark and the oracle parameter sets.
+ENUMERATED = [(5, 3, 5, 0), (7, 3, 6, 1)] + ORACLE_PARAMS
 
 
 @pytest.mark.parametrize("params", ORACLE_PARAMS)
@@ -187,9 +180,18 @@ def test_enumerate_matches_box_search_oracle(params):
     assert got == brute_enumerate_polygons(p, g, r, d)
 
 
-@pytest.mark.parametrize(
-    "params", [(5, 3, 5, 0), (7, 3, 6, 1)] + ORACLE_PARAMS
-)
+@pytest.mark.parametrize("params", ENUMERATED)
+def test_enumerate_members_are_distinct_and_share_one_endpoint(params):
+    """The oracle diff compares sets, so it would pass a polygon emitted
+    twice; checked on the first three ladder rungs and the oracle sets."""
+    p, g, r, d = params
+    polys = enumerate_frobenius_polygons(*params)
+    assert type(polys) is tuple
+    assert len(set(polys)) == len(polys)
+    assert {pg.endpoint for pg in polys} == {(r, p * d)}
+
+
+@pytest.mark.parametrize("params", ENUMERATED)
 def test_integer_heights_match_height(params):
     """The one-pass heights equal :func:`height` at every integer abscissa
     on every enumerated polygon (the benchmark's first three ladder rungs
@@ -255,6 +257,12 @@ def test_slope_bounds_match_fraction_slopes():
                 assert is_canonical(pg, p, g) == want
                 seen["canonical"].add(want)
     assert all(outcomes == {True, False} for outcomes in seen.values())
+
+
+@pytest.mark.parametrize("predicate", [satisfies_spread_bound, is_canonical])
+def test_spread_predicates_refuse_a_composite_p(predicate):
+    with pytest.raises(InvalidParameters, match="prime integer, got 4"):
+        predicate(P4, 4, 2)
 
 
 def test_enumerate_members_satisfy_admissibility():

@@ -11,7 +11,7 @@ from frobstrat.local_frobenius import (
     LocalContext,
     PullbackElement,
 )
-from frobstrat.polygons import REFERENCE_POLYGONS, LatticePolygon, PolygonSet
+from frobstrat.polygons import REFERENCE_POLYGONS, LatticePolygon
 from frobstrat.strata import CurveContext, FiberCensus, StratumReport
 
 P4 = REFERENCE_POLYGONS["P4"]
@@ -23,9 +23,8 @@ VALUES = [
     (LocalContext, (3, 9)),
     (PullbackElement, (((0, 1, 2), (1, 0, 1)), 3, 3)),
     (FiberPoint, ((0, 1, 2), 3)),
-    (ColengthProfile, (3, 2, -1, {1: 2, 2: 1}, {1: 1, 2: 0}, False)),
+    (ColengthProfile, ({1: 2, 2: 1}, {1: 1, 2: 0}, False)),
     (LatticePolygon, (((0, 0), (1, 2), (2, 2), (3, 0)),)),
-    (PolygonSet, ((P4,), 3, 2, 3, 0)),
     (CurveContext, (3, 2, 3, 0, -1)),
     (StratumReport, ("P4", P4, 0, 3, 2, "already closed", None)),
     (FiberCensus, (3, 1, {"P4": 1}, {"P4+": 1}, {"P4": "1"}, {"P4+": "1"})),
