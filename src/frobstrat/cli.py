@@ -7,22 +7,19 @@ line.  Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an
 internal invariant violation.
 
 Each command's handler imports the layers it uses when it runs, so one
-call loads and compiles only what its own command needs.
+call loads and compiles only what its own command needs.  A call builds
+one parser, its command's, or the command list when ``argv`` names no
+command; ``json`` is imported only to print JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
-from .errors import (
-    ExtrapolationWarning,
-    FrobstratError,
-    InvalidParameters,
-    InvariantViolation,
-)
+from .errors import ExtrapolationWarning, FrobstratError
+from .errors import InvalidParameters, InvariantViolation
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with status 1 on usage errors."""
@@ -32,11 +29,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> _Parser:
+def command_parser(name: str) -> _Parser:
+    """The parser of command ``name``: the flags its :data:`COMMANDS` entry
+    lists, and ``--format``."""
     from .polygons import REFERENCE_CONFIGURATION
 
     p, g, r, d, line_degree = REFERENCE_CONFIGURATION
-    # Each flag written once: a command takes the flags COMMANDS lists, and --format.
     flags = {
         "-p": dict(type=int, default=p, help="prime characteristic"),
         "-g": dict(type=int, default=g, help="curve genus"),
@@ -54,20 +52,25 @@ def build_parser() -> _Parser:
             choices=("json", "tsv"), default="json", dest="fmt", help="output format"
         ),
     }
+    parser = _Parser(prog=f"frobstrat {name}")
+    for flag in (*COMMANDS[name][1], "--format"):
+        parser.add_argument(flag, **flags[flag])
+    return parser
+
+
+def _exit_without_command(argv):
+    """Print the top-level help (exit 0) or usage error (exit 1) for an ``argv``
+    that does not start with a command; no command's flags are built."""
     parser = _Parser(
         prog="frobstrat",
-        description="Exact classification of Frobenius destabilization "
-        "strata: polygons, local membership, fiber census, dimension "
-        "tables.",
+        description="Exact classification of Frobenius destabilization strata: "
+        "polygons, local membership, fiber census, dimension tables.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (help_text, names, _) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        command.set_defaults(usage_error=command.error)  # for a flag it does not read
-        for flag in (*names, "--format"):
-            command.add_argument(flag, **flags[flag])
-    return parser
+    for name, (help_text, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text, add_help=False)
+    parser.parse_args(argv)
 
 
 def _parse_lambdas(raw: str) -> tuple[int, ...]:
@@ -97,12 +100,8 @@ def _cmd_polygons(args):
 
 
 def _cmd_classify(args):
-    from .local_frobenius import (
-        FiberPoint,
-        LocalContext,
-        colength_profile,
-        fiber_polygon,
-    )
+    from .local_frobenius import FiberPoint, LocalContext
+    from .local_frobenius import colength_profile, fiber_polygon
     from .polygons import reference_label, vertex_lists
 
     lambdas = _parse_lambdas(args.lambdas)
@@ -185,14 +184,9 @@ def _cmd_canonical_polygon(args):
 def _cmd_verify_claims(args):
     """Membership of tau^(p-1) t^j against the monomial criterion, for the
     four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p)."""
-    from .local_frobenius import (
-        LocalContext,
-        fiber_points,
-        right_multiply,
-        submodule_contains,
-        submodule_contains_monomial,
-        tau_power,
-    )
+    from .local_frobenius import LocalContext, fiber_points, right_multiply
+    from .local_frobenius import submodule_contains, submodule_contains_monomial
+    from .local_frobenius import tau_power
 
     p = args.p
     ctx = LocalContext.default(p)
@@ -267,11 +261,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     """Parse ``argv`` and run its command; returns the process exit code."""
-    args, unread = build_parser().parse_known_args(argv)
-    if unread:
-        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in COMMANDS:
+        _exit_without_command(argv)
+    args = command_parser(argv[0]).parse_args(argv[1:])
     try:
-        payload, lines, exit_code = COMMANDS[args.command][2](args)
+        payload, lines, exit_code = COMMANDS[argv[0]][2](args)
     except InvariantViolation as exc:
         print(f"frobstrat: internal invariant violated: {exc}", file=sys.stderr)
         return 2
@@ -279,6 +274,8 @@ def main(argv=None) -> int:
         print(f"frobstrat: {exc}", file=sys.stderr)
         return 1
     if args.fmt == "json":
+        import json
+
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print("\n".join(lines))

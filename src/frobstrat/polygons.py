@@ -134,8 +134,11 @@ def slope_gaps(pg: LatticePolygon) -> tuple[Fraction, ...]:
 
 
 def height(pg: LatticePolygon, x) -> Fraction:
-    """Exact height of the polygon graph above abscissa ``x``."""
+    """Exact height of the polygon graph above abscissa ``x``, an int or a
+    Fraction; a float or a string is refused, not converted."""
     from fractions import Fraction
+    if not isinstance(x, (int, Fraction)):
+        raise InvalidParameters(f"abscissa must be an int or a Fraction, got {x!r}")
     x = Fraction(x)
     if x < 0 or x > pg.rank:
         raise InvalidParameters(f"abscissa {x} outside [0, {pg.rank}]")
@@ -201,13 +204,18 @@ def satisfies_gap_bound(pg: LatticePolygon, g: int) -> bool:
     return all(n <= (2 * g - 2) * d for n, d in map(_drop, segs, segs[1:]))
 
 
-def satisfies_spread_bound(pg: LatticePolygon, p: int, g: int) -> bool:
-    """Largest minus smallest slope is at most min(r-1, p-1)(2g-2), p prime."""
+def _spread(pg: LatticePolygon, p, g) -> tuple[int, int, int, int]:
+    """Checked p (prime) and g, and the first slope minus the last as (n, d > 0)."""
     p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
-    if not is_prime(p):
+    if not is_prime(p):  # require_prime's refusal, without a call the tracer counts
         raise InvalidParameters(f"modulus must be a prime integer, got {p}")
     segs = _segments(pg)
-    n, d = _drop(segs[0], segs[-1])
+    return p, g, *_drop(segs[0], segs[-1])
+
+
+def satisfies_spread_bound(pg: LatticePolygon, p: int, g: int) -> bool:
+    """Largest minus smallest slope is at most min(r-1, p-1)(2g-2), p prime."""
+    p, g, n, d = _spread(pg, p, g)
     return n <= min(pg.rank - 1, p - 1) * (2 * g - 2) * d
 
 
@@ -243,27 +251,42 @@ def enumerate_frobenius_polygons(
     chord = Fraction(total, r)
     found: list[LatticePolygon] = []
     nodes = count(1)
+    verts = [(0, 0)]  # the chain being visited, extended and truncated in place
 
-    def walk(verts, first, prev):
+    def extensions(first, prev):
+        """Visit the chain ``verts``, then yield the walk of each one-segment
+        extension, with ``verts`` ending at its new vertex until resumed."""
         if next(nodes) > WORK_BUDGET:
             what = f"the polygon walk at (p, g, r, d) = {(p, g, r, d)} visits at least"
             raise _over_budget(what, WORK_BUDGET + 1, "vertex chains")
         x, y = verts[-1]
-        s = Fraction(total - y, r - x)  # the segment that closes the chain
-        if first is not None and prev - gap <= s < prev and first - s <= spread:
-            found.append(make_polygon(verts + [(r, total)]))
+        if first is not None:
+            least = prev - gap  # the smallest slope the next segment may take
+            s = Fraction(total - y, r - x)  # the segment that closes the chain
+            if least <= s < prev and first - s <= spread:
+                found.append(make_polygon(verts + [(r, total)]))
         for rk in range(1, r - x):
             if first is None:
                 lo = math.floor(rk * chord) + 1
                 hi = math.floor(rk * (chord + spread))
             else:
-                lo = math.ceil(rk * (prev - gap))
+                lo = math.ceil(rk * least)
                 hi = math.ceil(rk * prev) - 1
             for dy in range(lo, hi + 1):
                 s = Fraction(dy, rk)
-                walk(verts + [(x + rk, y + dy)], s if first is None else first, s)
+                verts.append((x + rk, y + dy))
+                yield extensions(s if first is None else first, s)
+                verts.pop()
 
-    walk([(0, 0)], None, None)
+    # Depth-first over a stack of per-level generators, so a chain's length
+    # is bounded by the work budget and not by the recursion limit.
+    stack = [extensions(None, None)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(child)
     found.sort(key=integer_heights)
     return tuple(found)
 
@@ -298,11 +321,7 @@ def canonical_stratum_dim(r: int, g: int) -> int:
 
 def is_canonical(pg: LatticePolygon, p: int, g: int) -> bool:
     """True when the slope spread equals exactly (p - 1)(2g - 2), p prime."""
-    p, g = _checked_int(p, "p", 2), _checked_int(g, "genus", 2)
-    if not is_prime(p):
-        raise InvalidParameters(f"modulus must be a prime integer, got {p}")
-    segs = _segments(pg)
-    n, d = _drop(segs[0], segs[-1])
+    p, g, n, d = _spread(pg, p, g)
     return n == (p - 1) * (2 * g - 2) * d
 
 

@@ -1,4 +1,4 @@
-"""The colength path, the polygon enumeration and the CLI's ``classify``
+"""The colength path, the polygon enumeration and every CLI command
 keep the call structure the benchmark's traced runs pin.
 
 ``perfbench`` counts the calls one ``fiber_polygon``, one enumeration or
@@ -13,6 +13,7 @@ benchmark run.
 from __future__ import annotations
 
 import importlib.util
+import random
 import warnings
 from pathlib import Path
 
@@ -70,19 +71,24 @@ def test_enumeration_call_counts_and_output_match_the_benchmark(rung):
     assert workloads.digest(workloads.vertices_text(polygons)) == want["sha256"]
 
 
+#: One seeded cycle of the benchmark's CLI mix: every command in both formats,
+#: ``classify`` at p = 3 and 7, ``verify-claims -p 5`` and ``polygons -p 7``.
+CLI_MIX = _load("workloads").cli_mix(random.Random(5))
+
+
 @pytest.mark.parametrize(
-    "p, lambdas", ((3, "0,1,2"), (7, "2,0,1,4,0,3,0")), ids=("p3", "p7")
+    "key, model, argv", CLI_MIX, ids=[" ".join(argv) for _, _, argv in CLI_MIX]
 )
-def test_cli_classify_call_counts_match_the_benchmark_guard(p, lambdas, capsys):
+def test_cli_call_counts_match_the_benchmark_guard(key, model, argv, capsys):
     tracing, workloads = _load("tracing"), _load("workloads")
-    argv = ["classify", "-p", str(p), "--lambda", lambdas]
+    expected = workloads.load_expected()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = cli.main(argv)  # the wrapper: looked up after install
+        code = cli.main(list(argv))  # the wrapper: looked up after install
     finally:
         tracer.uninstall()
-    assert code == 0 and capsys.readouterr().out.startswith("{")
+    want = expected["cli"][key]
+    assert (code, workloads.digest(capsys.readouterr().out)) == (want["exit"], want["sha256"])
     calls, _, _ = tracer.totals()
-    mix = [("classify", ("classify", p), tuple(argv))]
-    assert calls == workloads.cli_counts(mix, workloads.load_expected())
+    assert calls == workloads.cli_counts([(key, model, argv)], expected)

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from conftest import _run_capped
-from frobstrat.cli import COMMANDS, build_parser, main
+import frobstrat.cli as cli
+from frobstrat.cli import COMMANDS, command_parser, main
 
 GOLDEN_CLASSIFY = (
     '{"colengths":{"E1":2,"E2":1},"polygon_id":"P4",'
@@ -196,22 +197,226 @@ def test_invalid_parameters_exit_one(capsys):
         assert "usage" in capsys.readouterr().err
 
 
+#: Stdout, stderr and exit code of the parser paths that print help or a
+#: usage error, recorded from the CLI when one parser held every command;
+#: argparse wraps help at ``COLUMNS``, which the test pins to 80.
+PARSER_GOLDEN = {
+    "-h": (
+        0,
+        """\
+usage: frobstrat [-h] command ...
+
+Exact classification of Frobenius destabilization strata: polygons, local
+membership, fiber census, dimension tables.
+
+positional arguments:
+  command
+    polygons         enumerate all destabilized pull-back polygons
+    classify         classify one fiber point into its polygon stratum
+    fiber-census     count fiber points per stratum, with closed forms, at the
+                     reference configuration
+    strata-table     emit the assembled stratum dimension table at the
+                     reference configuration
+    canonical-polygon
+                     emit the extremal polygon and its stratum dimension
+    verify-claims    check the four membership claims over every fiber point
+
+options:
+  -h, --help         show this help message and exit
+""",
+        "",
+    ),
+    "polygons -h": (
+        0,
+        """\
+usage: frobstrat polygons [-h] [-p P] [-g G] [-r R] [-d D]
+                          [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  -p P                 prime characteristic
+  -g G                 curve genus
+  -r R                 bundle rank
+  -d D                 bundle degree
+  --format {json,tsv}  output format
+""",
+        "",
+    ),
+    "classify -h": (
+        0,
+        """\
+usage: frobstrat classify [-h] [-p P] [-g G] [--deg-line DEG_LINE] --lambda
+                          LAMBDAS [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  -p P                 prime characteristic
+  -g G                 curve genus
+  --deg-line DEG_LINE  degree of the source line bundle
+  --lambda LAMBDAS     comma-separated projective coordinates, e.g. 1,0,0
+  --format {json,tsv}  output format
+""",
+        "",
+    ),
+    "fiber-census -h": (
+        0,
+        """\
+usage: frobstrat fiber-census [-h] [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  --format {json,tsv}  output format
+""",
+        "",
+    ),
+    "strata-table -h": (
+        0,
+        """\
+usage: frobstrat strata-table [-h] [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  --format {json,tsv}  output format
+""",
+        "",
+    ),
+    "canonical-polygon -h": (
+        0,
+        """\
+usage: frobstrat canonical-polygon [-h] [-p P] [-g G] [-r R] [-d D]
+                                   [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  -p P                 prime characteristic
+  -g G                 curve genus
+  -r R                 bundle rank
+  -d D                 bundle degree
+  --format {json,tsv}  output format
+""",
+        "",
+    ),
+    "verify-claims -h": (
+        0,
+        """\
+usage: frobstrat verify-claims [-h] [-p P] [--format {json,tsv}]
+
+options:
+  -h, --help           show this help message and exit
+  -p P                 prime characteristic
+  --format {json,tsv}  output format
+""",
+        "",
+    ),
+    "": (
+        1,
+        "",
+        """\
+usage: frobstrat [-h] command ...
+frobstrat: error: the following arguments are required: command
+""",
+    ),
+    "no-such-command": (
+        1,
+        "",
+        """\
+usage: frobstrat [-h] command ...
+frobstrat: error: argument command: invalid choice: 'no-such-command' (choose from 'polygons', 'classify', 'fiber-census', 'strata-table', 'canonical-polygon', 'verify-claims')
+""",
+    ),
+    "--format tsv polygons": (
+        1,
+        "",
+        """\
+usage: frobstrat [-h] command ...
+frobstrat: error: argument command: invalid choice: 'tsv' (choose from 'polygons', 'classify', 'fiber-census', 'strata-table', 'canonical-polygon', 'verify-claims')
+""",
+    ),
+    "polygons -p x": (
+        1,
+        "",
+        """\
+usage: frobstrat polygons [-h] [-p P] [-g G] [-r R] [-d D]
+                          [--format {json,tsv}]
+frobstrat polygons: error: argument -p: invalid int value: 'x'
+""",
+    ),
+    "classify": (
+        1,
+        "",
+        """\
+usage: frobstrat classify [-h] [-p P] [-g G] [--deg-line DEG_LINE] --lambda
+                          LAMBDAS [--format {json,tsv}]
+frobstrat classify: error: the following arguments are required: --lambda
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("line", PARSER_GOLDEN, ids=lambda line: line or "no arguments")
+def test_parser_paths_match_the_recorded_output(capsys, monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == PARSER_GOLDEN[line]
+
+
+def test_a_flag_before_the_command_is_a_top_level_usage_error(capsys):
+    """Only a line that starts with its command reaches that command's
+    parser; a flag written before it is refused against the command list."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "polygons"])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage: frobstrat [-h] command ...\n"
+        "frobstrat: error: unrecognized arguments: --format\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,progs",
+    [
+        (["polygons", "--format", "tsv"], ["frobstrat polygons"]),
+        (["classify", "-r", "3"], ["frobstrat classify"]),
+        (["fiber-census", "-h"], ["frobstrat fiber-census"]),
+        (["-h"], ["frobstrat", *(f"frobstrat {name}" for name in COMMANDS)]),
+        (["nope"], ["frobstrat", *(f"frobstrat {name}" for name in COMMANDS)]),
+    ],
+    ids=["polygons", "classify-unread-flag", "fiber-census-help", "help", "unknown-command"],
+)
+def test_each_call_builds_only_the_parser_it_needs(capsys, monkeypatch, argv, progs):
+    """A line that names a command builds that command's parser alone; the
+    command list, with one flagless subparser per command, is built only
+    for a line that names none."""
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert built == progs
+
+
 def declared_flags() -> dict[str, dict[str, argparse.Action]]:
-    """Command name -> {option string: action} for every flag a command of
-    :func:`build_parser` takes, ``-h`` left out."""
-    (subparsers,) = [
-        action
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
+    """Command name -> {option string: action} for every flag the parser of
+    that command takes, ``-h`` left out."""
     return {
         name: {
             option: action
-            for action in command._actions
+            for action in command_parser(name)._actions
             if not isinstance(action, argparse._HelpAction)
             for option in action.option_strings
         }
-        for name, command in subparsers.choices.items()
+        for name in COMMANDS
     }
 
 
@@ -377,11 +582,16 @@ def _imported_modules(env, *args) -> set[str]:
 
 
 def test_canonical_polygon_imports_only_its_layers(child_env):
-    loaded = _imported_modules(child_env, "-m", "frobstrat", "canonical-polygon")
-    loaded -= _imported_modules(child_env, "-c", "pass")
+    bare = _imported_modules(child_env, "-c", "pass")
+    loaded = _imported_modules(child_env, "-m", "frobstrat", "canonical-polygon") - bare
     assert "frobstrat.polygons" in loaded
     unused = {"dataclasses", "inspect", "frobstrat.strata", "frobstrat.local_frobenius"}
     assert not loaded & unused
+    assert "json" in loaded  # printing JSON loads it
+    argv = ("-m", "frobstrat", "canonical-polygon", "--format", "tsv")
+    tsv = _imported_modules(child_env, *argv) - bare
+    assert "frobstrat.polygons" in tsv
+    assert not tsv & (unused | {"json"})
 
 
 @pytest.mark.parametrize(

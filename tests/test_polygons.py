@@ -92,6 +92,20 @@ def test_height_interpolates_exactly():
     assert height(P2, Fraction(3, 2)) == Fraction(3, 4)
     with pytest.raises(InvalidParameters):
         height(P1, 4)
+    # A float or a string is refused, not converted: 0.1 is no exact abscissa.
+    for x in (0.1, 1.5, 1.0, "1/2", "1"):
+        with pytest.raises(InvalidParameters, match="an int or a Fraction"):
+            height(P3, x)
+
+
+def test_a_deep_polygon_walk_is_refused_at_its_budget(monkeypatch):
+    """The walk keeps its chain on an explicit stack, so a chain thousands
+    of segments long reaches the work budget, not the recursion limit."""
+    import frobstrat.polygons as pl
+
+    monkeypatch.setattr(pl, "WORK_BUDGET", 10_000)
+    with pytest.raises(InvalidParameters, match="at least 10001 vertex chains"):
+        enumerate_frobenius_polygons(3, 1000, 5000, 0)
 
 
 def test_dominates_reference_relations():
