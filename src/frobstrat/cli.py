@@ -30,8 +30,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def command_parser(name: str) -> _Parser:
-    """The parser of command ``name``: the flags its :data:`COMMANDS` entry
-    lists, and ``--format``."""
+    """The parser of command ``name``: its :data:`COMMANDS` entry's help
+    line as the description, the flags that entry lists, and ``--format``."""
     from .polygons import REFERENCE_CONFIGURATION
 
     p, g, r, d, line_degree = REFERENCE_CONFIGURATION
@@ -52,7 +52,7 @@ def command_parser(name: str) -> _Parser:
             choices=("json", "tsv"), default="json", dest="fmt", help="output format"
         ),
     }
-    parser = _Parser(prog=f"frobstrat {name}")
+    parser = _Parser(prog=f"frobstrat {name}", description=COMMANDS[name][0])
     for flag in (*COMMANDS[name][1], "--format"):
         parser.add_argument(flag, **flags[flag])
     return parser

@@ -40,8 +40,8 @@ import warnings
 from itertools import product
 from math import comb
 
+from . import algebra
 from .algebra import (
-    WORK_BUDGET,
     FpMatrix,
     TruncSeries,
     _checked_int,
@@ -145,7 +145,7 @@ class PullbackElement(Record):
     @property
     def coeffs(self) -> tuple[tuple[int, ...], ...]:
         cells = self.modulus * self.precision
-        if cells > WORK_BUDGET:
+        if cells > algebra.WORK_BUDGET:
             raise _over_budget("the dense grid of this element has", cells, "cells")
         grid = [[0] * self.precision for _ in range(self.modulus)]
         for right, left, c in self.terms:
@@ -191,7 +191,7 @@ def fiber_points(p: int) -> tuple[FiberPoint, ...]:
     # From p = 100 on the count exceeds 10^190: named by its formula, not computed.
     huge = p >= 100
     count = f"({p}^{p} - 1)/{p - 1}" if huge else (p**p - 1) // (p - 1)
-    if huge or count > WORK_BUDGET:
+    if huge or count > algebra.WORK_BUDGET:
         raise _over_budget(f"P^{p - 1}(F_{p}) has", count, "points")
     return tuple(
         FiberPoint((0,) * lead + (1,) + tail, p)
@@ -226,7 +226,7 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     p = ctx.p
     if not 0 <= m <= p - 1:
         raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
-    if (m + 1) * (m + 1) > WORK_BUDGET:
+    if (m + 1) * (m + 1) > algebra.WORK_BUDGET:
         raise _over_budget(f"tau^{m} takes about", (m + 1) ** 2, "bit steps")
     terms = tuple([(k, m - k, (-1) ** k * comb(m, k) % p) for k in range(m + 1)])
     return PullbackElement._from_terms(terms, ctx.precision, p)
@@ -311,7 +311,7 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
             f"context over F_{p}, point over F_{point.modulus}"
         )
     monomials = p * (p * (p + 1) - level * (level + 1)) // 2
-    if monomials > WORK_BUDGET:
+    if monomials > algebra.WORK_BUDGET:
         raise _over_budget(f"colength at p = {p} shifts", monomials, "tau monomials")
     rows = []
     for m in range(level, p):
@@ -358,7 +358,7 @@ def colength_profile(
     line_degree = _checked_int(line_degree)
     p = ctx.p
     monomials = p * p * (p * p - 1) // 3
-    if monomials > WORK_BUDGET:
+    if monomials > algebra.WORK_BUDGET:
         what = f"a colength profile at p = {p} shifts"
         raise _over_budget(what, monomials, "tau monomials")
     cols = {lv: colength(ctx, point, lv) for lv in range(1, p)}

@@ -11,16 +11,22 @@ realised by direct images under Frobenius with the dimension of its stratum.
 
 Heights and slopes are :class:`fractions.Fraction` values at the API; the
 order, convexity and slope bounds are decided by integer cross-products,
-so only the functions that return a Fraction import :mod:`fractions`.
+so only the functions that return a Fraction import :mod:`fractions`.  The
+walk keeps each slope as an integer pair (num, den > 0): a first segment
+of rank rk takes the degrees rk*p*d // r + 1 to rk*(p*d + r*spread) // r,
+and one after a segment of slope pn/pd the degrees from
+ceil(rk*(pn - gap*pd)/pd) to ceil(rk*pn/pd) - 1, both by floor division.
+A vertex pair that is already a tuple of two exact ints is kept, not
+copied, so the walk's polygons share their pairs with its chain.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import count
 from operator import index
 
-from .algebra import WORK_BUDGET, _checked_int, _not_integral, _over_budget
+from . import algebra
+from .algebra import _checked_int, _not_integral, _over_budget
 from .algebra import is_prime, require_prime
 from .errors import BadStart, EndpointMismatch, InvalidParameters, NotConvex
 from .record import Record
@@ -28,11 +34,18 @@ from .record import Record
 
 def _lattice_points(points) -> list[tuple[int, int]]:
     """``points`` as integer pairs; a float or a fraction is refused, not
-    truncated."""
+    truncated.  A pair that is already a tuple of two exact ints is kept,
+    not copied, so polygons built from one chain share its pairs."""
+    pts = []
     try:
-        return [(index(a), index(b)) for a, b in points]
+        for pt in points:
+            a, b = pt
+            if type(pt) is not tuple or type(a) is not int or type(b) is not int:
+                pt = (index(a), index(b))
+            pts.append(pt)
     except TypeError:
         raise _not_integral(points) from None
+    return pts
 
 
 class LatticePolygon(Record):
@@ -40,7 +53,8 @@ class LatticePolygon(Record):
 
     Construction validates the canonical-form invariants; use
     :func:`make_polygon` to build one from a raw chain that may still
-    contain collinear interior vertices.
+    contain collinear interior vertices.  A vertex given as a tuple of two
+    exact ints is kept, not copied; any other pair is converted.
     """
 
     vertices: tuple[tuple[int, int], ...]
@@ -80,7 +94,9 @@ def make_polygon(points) -> LatticePolygon:
 
     The chain must start at (0, 0) with strictly increasing ranks; slopes
     must strictly decrease once collinear points are removed, otherwise
-    :class:`NotConvex` is raised.
+    :class:`NotConvex` is raised.  Pairs that are tuples of two exact ints
+    are kept, not copied; a bool, an int subclass or a list pair becomes
+    an exact-int tuple, and a float or a fraction is refused.
     """
     pts = _lattice_points(points)
     if not pts:
@@ -156,7 +172,7 @@ def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
     from fractions import Fraction
     verts = pg.vertices
     n = verts[-1][0] + 1
-    if n > WORK_BUDGET:
+    if n > algebra.WORK_BUDGET:
         raise _over_budget(f"a polygon of rank {n - 1} has", n, "integer abscissae")
     heights: list[Fraction] = []
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
@@ -229,18 +245,21 @@ def enumerate_frobenius_polygons(
     2g - 2 and total slope spread at most min(r-1, p-1)(2g-2).  One walk
     extends a vertex chain a segment at a time, trying every rank rk that
     stays inside r and every integer degree in the window the bounds
-    leave: (rk*chord, rk*(chord + spread)] for the first segment, which
-    must rise above the chord of slope p*d/r, and [rk*(prev - gap),
-    rk*prev) after a segment of slope prev.  The segment reaching x = r
-    has its degree fixed by the endpoint and is kept when its slope meets
-    the same bounds.  The walk is exhaustive by construction, and strictly
-    decreasing slopes make each chain canonical and reached once.  Returns
-    a tuple of pairwise distinct polygons ending at (r, p*d), sorted by
-    their height vectors at integer abscissae, a total order refining
-    domination; refused once the walk visits more vertex chains than
-    :data:`~frobstrat.algebra.WORK_BUDGET` ((11, 3, 7, 0) visits 200,761).
+    leave.  A slope is an integer pair (num, den > 0), so each window is
+    two floor divisions: rk*p*d // r + 1 to rk*(p*d + r*spread) // r for
+    the first segment, which must rise above the chord of slope p*d/r, and
+    ceil(rk*(pn - gap*pd)/pd) to ceil(rk*pn/pd) - 1 after a segment of
+    slope pn/pd.  The segment reaching x = r has its degree fixed by the
+    endpoint and is kept when its slope meets the same bounds, compared by
+    cross-multiplication.  The walk is exhaustive by construction, and
+    strictly decreasing slopes make each chain canonical and reached once.
+    Each polygon holds the walk's vertex pairs, not copies, and the one
+    endpoint pair of the call.  Returns a tuple of pairwise distinct
+    polygons ending at (r, p*d), sorted by their height vectors at integer
+    abscissae, a total order refining domination; refused once the walk
+    visits more vertex chains than :data:`~frobstrat.algebra.WORK_BUDGET`
+    ((11, 3, 7, 0) visits 200,761).
     """
-    from fractions import Fraction
     require_prime(p)
     g = _checked_int(g, "genus", 2)
     r = _checked_int(r, "rank", 2)
@@ -248,39 +267,43 @@ def enumerate_frobenius_polygons(
     total = p * d
     gap = 2 * g - 2
     spread = min(r - 1, p - 1) * gap
-    chord = Fraction(total, r)
+    budget = algebra.WORK_BUDGET
+    end = (r, total)
     found: list[LatticePolygon] = []
     nodes = count(1)
     verts = [(0, 0)]  # the chain being visited, extended and truncated in place
 
-    def extensions(first, prev):
-        """Visit the chain ``verts``, then yield the walk of each one-segment
-        extension, with ``verts`` ending at its new vertex until resumed."""
-        if next(nodes) > WORK_BUDGET:
+    def extensions(first, pn, pd):
+        """Visit the chain ``verts``, whose first segment has slope ``first``
+        (a pair, or None before it) and last segment slope pn/pd, then yield
+        the walk of each one-segment extension, with ``verts`` ending at its
+        new vertex until resumed."""
+        if next(nodes) > budget:
             what = f"the polygon walk at (p, g, r, d) = {(p, g, r, d)} visits at least"
-            raise _over_budget(what, WORK_BUDGET + 1, "vertex chains")
+            raise _over_budget(what, budget + 1, "vertex chains")
         x, y = verts[-1]
         if first is not None:
-            least = prev - gap  # the smallest slope the next segment may take
-            s = Fraction(total - y, r - x)  # the segment that closes the chain
-            if least <= s < prev and first - s <= spread:
-                found.append(make_polygon(verts + [(r, total)]))
+            fn, fd = first
+            least = pn - gap * pd  # over pd: the smallest slope the next segment may take
+            sn, sd = total - y, r - x  # the segment that closes the chain
+            if least * sd <= sn * pd < pn * sd and fn * sd - sn * fd <= spread * fd * sd:
+                found.append(make_polygon(verts + [end]))
         for rk in range(1, r - x):
             if first is None:
-                lo = math.floor(rk * chord) + 1
-                hi = math.floor(rk * (chord + spread))
-            else:
-                lo = math.ceil(rk * least)
-                hi = math.ceil(rk * prev) - 1
+                lo = rk * total // r + 1
+                hi = rk * (total + r * spread) // r
+            else:  # ceil(rk*least/pd) to ceil(rk*pn/pd) - 1
+                lo = -(-rk * least // pd)
+                hi = (rk * pn - 1) // pd
             for dy in range(lo, hi + 1):
-                s = Fraction(dy, rk)
                 verts.append((x + rk, y + dy))
-                yield extensions(s if first is None else first, s)
+                # A pair is never falsy, so a first slope of 0 stays first.
+                yield extensions(first or (dy, rk), dy, rk)
                 verts.pop()
 
     # Depth-first over a stack of per-level generators, so a chain's length
     # is bounded by the work budget and not by the recursion limit.
-    stack = [extensions(None, None)]
+    stack = [extensions(None, None, None)]
     while stack:
         child = next(stack[-1], None)
         if child is None:
@@ -305,7 +328,7 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
     g = _checked_int(g, "genus", 2)
     r = _checked_int(r, "rank", 1)
     d = _checked_int(d)
-    if p + 1 > WORK_BUDGET:
+    if p + 1 > algebra.WORK_BUDGET:
         raise _over_budget(f"the canonical polygon at p = {p} has", p + 1, "vertices")
     return make_polygon(
         [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]

@@ -16,7 +16,8 @@ agreement of enumerated point counts with closed forms.
 
 from __future__ import annotations
 
-from .algebra import WORK_BUDGET, _checked_int, _over_budget, require_prime
+from . import algebra
+from .algebra import _checked_int, _over_budget, require_prime
 from .errors import (
     InvalidParameters,
     InvariantViolation,
@@ -136,7 +137,7 @@ def filtration_degrees(p: int, g: int, line_degree: int) -> tuple[tuple[int, int
     require_prime(p)
     g = _checked_int(g, "genus", 2)
     line_degree = _checked_int(line_degree)
-    if p > WORK_BUDGET:
+    if p > algebra.WORK_BUDGET:
         raise _over_budget(f"the filtration at p = {p} has", p, "graded pieces")
     return tuple((1, line_degree + level * (2 * g - 2)) for level in range(p))
 

@@ -5,18 +5,19 @@ code it checks: row-space enumeration for matrix ranks,
 one-step-at-a-time monomial rewriting for the pullback normal form, dense
 coefficient grids for the shifts and images of pullback elements, a box
 search over vertex chains for the polygon enumeration, and
-:class:`~fractions.Fraction` slopes and heights for the polygon order and
-slope bounds the library decides by integer cross-multiplication.  The
+:class:`~fractions.Fraction` slopes and heights for the polygon walk, order
+and slope bounds the library decides by integer cross-multiplication.  The
 vertexwise polygon comparison lives here too, since only the tests use it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from frobstrat.errors import EndpointMismatch, PrecisionExhausted
-from frobstrat.polygons import height, slope_gaps, slopes
+from frobstrat.polygons import height, make_polygon, slope_gaps, slopes
 
 
 def rowspace_rank(rows, p):
@@ -187,3 +188,41 @@ def brute_enumerate_polygons(p, g, r, d):
                     continue
                 shapes.add(tuple(chain))
     return shapes
+
+
+def fraction_walk_polygons(p, g, r, d):
+    """The walk of :func:`frobstrat.polygons.enumerate_frobenius_polygons`
+    with Fraction slopes and windows, and its order from :func:`height`.
+
+    Extends a vertex chain one segment at a time: every integer degree in
+    (rk*chord, rk*(chord + spread)] for the first segment of rank rk and in
+    [rk*(prev - gap), rk*prev) after a segment of slope prev; the segment
+    reaching x = r is kept when its slope meets the same bounds.  Returns
+    the vertex tuples sorted by their heights at integer abscissae.
+    """
+    total, gap = p * d, 2 * g - 2
+    spread = min(r - 1, p - 1) * gap
+    chord = Fraction(total, r)
+    found = []
+
+    def walk(chain, first, prev):
+        x, y = chain[-1]
+        if first is not None:
+            least = prev - gap
+            s = Fraction(total - y, r - x)
+            if least <= s < prev and first - s <= spread:
+                found.append(make_polygon(chain + [(r, total)]))
+        for rk in range(1, r - x):
+            if first is None:
+                lo = math.floor(rk * chord) + 1
+                hi = math.floor(rk * (chord + spread))
+            else:
+                lo = math.ceil(rk * least)
+                hi = math.ceil(rk * prev) - 1
+            for dy in range(lo, hi + 1):
+                s = Fraction(dy, rk)
+                walk(chain + [(x + rk, y + dy)], s if first is None else first, s)
+
+    walk([(0, 0)], None, None)
+    found.sort(key=lambda pg: tuple(height(pg, x) for x in range(r + 1)))
+    return [pg.vertices for pg in found]

@@ -134,6 +134,32 @@ def test_calls_over_the_work_budget_are_refused(child_env, call, count):
     assert str(WORK_BUDGET) in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "fiber_points(3)",
+        "colength_profile(LocalContext.default(3), FiberPoint((1, 0, 0), 3), 2, -1)",
+        "colength(LocalContext.default(3), FiberPoint((1, 0, 0), 3), 1)",
+        "tau_power(LocalContext.default(5), 3)",
+        "tau_power(LocalContext.default(3), 0).coeffs",
+        "canonical_polygon(11, 2, 1, 0)",
+        "integer_heights(make_polygon([(0, 0), (1, 1), (10, 0)]))",
+        "enumerate_frobenius_polygons(3, 2, 3, 0)",
+        "filtration_degrees(11, 2, -1)",
+    ],
+)
+def test_every_gate_reads_the_one_work_budget(monkeypatch, call):
+    """Lowering ``algebra.WORK_BUDGET`` lowers every gate, and the message
+    names the lowered budget: no module keeps a copy of its own.  Every
+    module is loaded before the patch, so none can copy the patched value."""
+    import frobstrat
+
+    api = {name: getattr(frobstrat, name) for name in frobstrat.__all__}
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 10)
+    with pytest.raises(InvalidParameters, match="over the work budget of 10 "):
+        eval(call, api)
+
+
 def test_matrix_rank_identity():
     eye = FpMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
     assert matrix_rank(eye) == 3

@@ -50,8 +50,9 @@ def test_fiber_polygon_call_counts_match_the_benchmark_guard(p):
     assert calls == workloads.polygon_counts(p)
 
 
-@pytest.mark.parametrize("rung", ((3, 2, 3, 0), (5, 3, 5, 0), (7, 3, 6, 1)))
+@pytest.mark.parametrize("rung", _load("workloads").LADDER)
 def test_enumeration_call_counts_and_output_match_the_benchmark(rung):
+    """Every rung of the benchmark's ladder, (11, 3, 7, 0) included."""
     tracing, workloads = _load("tracing"), _load("workloads")
     want = workloads.load_expected()["enumerate"][",".join(map(str, rung))]
     tracer = tracing.Tracer()

@@ -199,6 +199,7 @@ def test_invalid_parameters_exit_one(capsys):
 
 #: Stdout, stderr and exit code of the parser paths that print help or a
 #: usage error, recorded from the CLI when one parser held every command;
+#: each command's help has since gained its help line as the description.
 #: argparse wraps help at ``COLUMNS``, which the test pins to 80.
 PARSER_GOLDEN = {
     "-h": (
@@ -232,6 +233,8 @@ options:
 usage: frobstrat polygons [-h] [-p P] [-g G] [-r R] [-d D]
                           [--format {json,tsv}]
 
+enumerate all destabilized pull-back polygons
+
 options:
   -h, --help           show this help message and exit
   -p P                 prime characteristic
@@ -248,6 +251,8 @@ options:
 usage: frobstrat classify [-h] [-p P] [-g G] [--deg-line DEG_LINE] --lambda
                           LAMBDAS [--format {json,tsv}]
 
+classify one fiber point into its polygon stratum
+
 options:
   -h, --help           show this help message and exit
   -p P                 prime characteristic
@@ -263,6 +268,9 @@ options:
         """\
 usage: frobstrat fiber-census [-h] [--format {json,tsv}]
 
+count fiber points per stratum, with closed forms, at the reference
+configuration
+
 options:
   -h, --help           show this help message and exit
   --format {json,tsv}  output format
@@ -273,6 +281,8 @@ options:
         0,
         """\
 usage: frobstrat strata-table [-h] [--format {json,tsv}]
+
+emit the assembled stratum dimension table at the reference configuration
 
 options:
   -h, --help           show this help message and exit
@@ -285,6 +295,8 @@ options:
         """\
 usage: frobstrat canonical-polygon [-h] [-p P] [-g G] [-r R] [-d D]
                                    [--format {json,tsv}]
+
+emit the extremal polygon and its stratum dimension
 
 options:
   -h, --help           show this help message and exit
@@ -300,6 +312,8 @@ options:
         0,
         """\
 usage: frobstrat verify-claims [-h] [-p P] [--format {json,tsv}]
+
+check the four membership claims over every fiber point
 
 options:
   -h, --help           show this help message and exit

@@ -1,4 +1,5 @@
-"""Every demo script and every README example runs as documented."""
+"""Every demo script and every README example runs as documented, and
+each demo prints its recorded stdout."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_STDOUT = Path(__file__).resolve().parent / "demo_stdout"
 README = (ROOT / "README.md").read_text()
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 CLI_SECTION = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
@@ -42,9 +44,11 @@ def run_cli(command, child_env):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo, child_env):
+    """Each demo exits 0 and prints, byte for byte, the stdout recorded in
+    ``tests/demo_stdout/<name>.txt``."""
     proc = run([str(demo)], child_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == (DEMO_STDOUT / f"{demo.stem}.txt").read_text()
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from oracles import (
     fraction_gap_bound,
     fraction_is_canonical,
     fraction_spread_bound,
+    fraction_walk_polygons,
     vertexwise_above,
 )
 
@@ -75,6 +76,22 @@ def test_single_vertex_rejected():
         LatticePolygon(((0, 0),))
 
 
+def test_exact_int_pairs_are_kept_and_others_converted():
+    """A tuple of two exact ints is kept, not copied; a bool, an int
+    subclass or a list pair becomes an exact-int tuple; a float is refused."""
+
+    class Int(int):
+        pass
+
+    kept = (1, 1)
+    assert make_polygon([(0, 0), kept, (3, 0)]).vertices[1] is kept
+    pg = make_polygon([(0, 0), [1, True], (Int(3), 0)])
+    assert pg.vertices == ((0, 0), (1, 1), (3, 0))
+    assert all(type(v) is tuple and type(v[0]) is type(v[1]) is int for v in pg.vertices)
+    with pytest.raises(InvalidParameters):
+        make_polygon([(0, 0), (1.0, 1), (3, 0)])
+
+
 def test_nonincreasing_ranks_rejected():
     with pytest.raises(InvalidParameters):
         make_polygon([(0, 0), (2, 1), (2, 0)])
@@ -100,12 +117,26 @@ def test_height_interpolates_exactly():
 
 def test_a_deep_polygon_walk_is_refused_at_its_budget(monkeypatch):
     """The walk keeps its chain on an explicit stack, so a chain thousands
-    of segments long reaches the work budget, not the recursion limit."""
-    import frobstrat.polygons as pl
+    of segments long reaches the work budget, not the recursion limit.
+    The walk and the message read the one name ``algebra.WORK_BUDGET``."""
+    import frobstrat.algebra as algebra
 
-    monkeypatch.setattr(pl, "WORK_BUDGET", 10_000)
-    with pytest.raises(InvalidParameters, match="at least 10001 vertex chains"):
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 10_000)
+    with pytest.raises(InvalidParameters, match="at least 10001 vertex chains") as err:
         enumerate_frobenius_polygons(3, 1000, 5000, 0)
+    assert "work budget of 10000 vertex chains" in str(err.value)
+
+
+def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
+    """(11, 3, 7, 0) visits exactly 200,761 vertex chains: a window that
+    admits a chain which can never close costs visits, not output."""
+    import frobstrat.algebra as algebra
+
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 200_760)
+    with pytest.raises(InvalidParameters, match="at least 200761 vertex chains"):
+        enumerate_frobenius_polygons(11, 3, 7, 0)
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 200_761)
+    assert len(enumerate_frobenius_polygons(11, 3, 7, 0)) == 5766
 
 
 def test_dominates_reference_relations():
@@ -192,6 +223,29 @@ def test_enumerate_matches_box_search_oracle(params):
     p, g, r, d = params
     got = {pg.vertices for pg in enumerate_frobenius_polygons(p, g, r, d)}
     assert got == brute_enumerate_polygons(p, g, r, d)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("g", (2, 3))
+def test_enumerate_matches_the_fraction_walk(p, g):
+    """Vertex tuples equal and in the same order at r = 2..5, d = -3..3:
+    d < 0 and d prime to r make negative numerators, whose floor and
+    ceiling differ, in the integer windows."""
+    for r, d in itertools.product(range(2, 6), range(-3, 4)):
+        got = [pg.vertices for pg in enumerate_frobenius_polygons(p, g, r, d)]
+        assert got == fraction_walk_polygons(p, g, r, d), (p, g, r, d)
+
+
+def test_enumerated_polygons_share_the_walks_vertex_pairs():
+    """The polygons hold the walk's pairs, not copies: one endpoint object
+    for the whole call, and one object per vertex a chain prefix shares."""
+    polys = enumerate_frobenius_polygons(7, 3, 6, 1)
+    assert len({id(pg.endpoint) for pg in polys}) == 1
+    by_prefix = {}
+    for pg in polys:
+        for k in range(1, len(pg.vertices)):
+            by_prefix.setdefault(pg.vertices[: k + 1], set()).add(id(pg.vertices[k]))
+    assert all(len(ids) == 1 for ids in by_prefix.values())
 
 
 @pytest.mark.parametrize("params", ENUMERATED)
