@@ -12,17 +12,16 @@ realised by direct images under Frobenius with the dimension of its stratum.
 Heights and slopes are :class:`fractions.Fraction` values at the API; the
 order, convexity and slope bounds are decided by integer cross-products,
 so only the functions that return a Fraction import :mod:`fractions`.  The
-walk keeps each slope as an integer pair (num, den > 0): a first segment
-of rank rk takes the degrees rk*p*d // r + 1 to rk*(p*d + r*spread) // r,
-and one after a segment of slope pn/pd the degrees from
-ceil(rk*(pn - gap*pd)/pd) to ceil(rk*pn/pd) - 1, both by floor division.
+walk keeps each slope as an integer pair (num, den > 0) and each degree
+window as floor divisions, pruned to the chains that can still close, and
+sorts its polygons by one exact int per polygon read off their heights.
 A vertex pair that is already a tuple of two exact ints is kept, not
 copied, so the walk's polygons share their pairs with its chain.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from math import lcm
 from operator import index
 
 from . import algebra
@@ -246,19 +245,24 @@ def enumerate_frobenius_polygons(
     extends a vertex chain a segment at a time, trying every rank rk that
     stays inside r and every integer degree in the window the bounds
     leave.  A slope is an integer pair (num, den > 0), so each window is
-    two floor divisions: rk*p*d // r + 1 to rk*(p*d + r*spread) // r for
-    the first segment, which must rise above the chord of slope p*d/r, and
+    floor divisions: rk*p*d // r + 1 to rk*(p*d + r*spread) // r for the
+    first segment, which must rise above the chord of slope p*d/r, and
     ceil(rk*(pn - gap*pd)/pd) to ceil(rk*pn/pd) - 1 after a segment of
-    slope pn/pd.  The segment reaching x = r has its degree fixed by the
+    slope pn/pd.  Each window is cut to the chains that can still close:
+    the new segment rises above the chord from its start to (r, p*d), and
+    the chord from its end to (r, p*d) is at least the first slope minus
+    the spread.  The segment reaching x = r has its degree fixed by the
     endpoint and is kept when its slope meets the same bounds, compared by
     cross-multiplication.  The walk is exhaustive by construction, and
     strictly decreasing slopes make each chain canonical and reached once.
     Each polygon holds the walk's vertex pairs, not copies, and the one
     endpoint pair of the call.  Returns a tuple of pairwise distinct
     polygons ending at (r, p*d), sorted by their height vectors at integer
-    abscissae, a total order refining domination; refused once the walk
-    visits more vertex chains than :data:`~frobstrat.algebra.WORK_BUDGET`
-    ((11, 3, 7, 0) visits 200,761).
+    abscissae, a total order refining domination, each vector read as the
+    digits of one int.  Refused once the walk takes more steps than
+    :data:`~frobstrat.algebra.WORK_BUDGET`, counting r - x for each chain
+    visited at (x, y) (its closing segment and each rank it tries) and
+    r + 1 for each polygon kept: (11, 3, 7, 0) takes 80,722.
     """
     require_prime(p)
     g = _checked_int(g, "genus", 2)
@@ -270,31 +274,38 @@ def enumerate_frobenius_polygons(
     budget = algebra.WORK_BUDGET
     end = (r, total)
     found: list[LatticePolygon] = []
-    nodes = count(1)
+    steps = 0
     verts = [(0, 0)]  # the chain being visited, extended and truncated in place
 
     def extensions(first, pn, pd):
         """Visit the chain ``verts``, whose first segment has slope ``first``
         (a pair, or None before it) and last segment slope pn/pd, then yield
-        the walk of each one-segment extension, with ``verts`` ending at its
-        new vertex until resumed."""
-        if next(nodes) > budget:
-            what = f"the polygon walk at (p, g, r, d) = {(p, g, r, d)} visits at least"
-            raise _over_budget(what, budget + 1, "vertex chains")
+        the walk of each one-segment extension that can still close, with
+        ``verts`` ending at its new vertex until resumed."""
+        nonlocal steps
         x, y = verts[-1]
+        sn, sd = total - y, r - x  # the segment that closes the chain
+        closes = False
         if first is not None:
             fn, fd = first
             least = pn - gap * pd  # over pd: the smallest slope the next segment may take
-            sn, sd = total - y, r - x  # the segment that closes the chain
-            if least * sd <= sn * pd < pn * sd and fn * sd - sn * fd <= spread * fd * sd:
-                found.append(make_polygon(verts + [end]))
-        for rk in range(1, r - x):
+            closes = least * sd <= sn * pd < pn * sd and fn * sd - sn * fd <= spread * fd * sd
+        steps += sd + closes * (r + 1)  # the closing segment, each rank below it, the heights
+        if steps > budget:
+            what = f"the polygon walk at (p, g, r, d) = {(p, g, r, d)} takes at least"
+            raise _over_budget(what, steps, "steps")
+        if closes:
+            found.append(make_polygon(verts + [end]))
+        for rk in range(1, sd):
+            # Rise above the chord to the end, and leave a chord to the end
+            # no lower than the first slope minus the spread.
+            rest = sd - rk
+            lo = rk * sn // sd + 1
             if first is None:
-                lo = rk * total // r + 1
-                hi = rk * (total + r * spread) // r
-            else:  # ceil(rk*least/pd) to ceil(rk*pn/pd) - 1
-                lo = -(-rk * least // pd)
-                hi = (rk * pn - 1) // pd
+                hi = (rk * total + spread * rk * rest) // r
+            else:  # and ceil(rk*least/pd) to ceil(rk*pn/pd) - 1
+                lo = max(lo, -(-rk * least // pd))
+                hi = min((rk * pn - 1) // pd, sn + (spread * fd - fn) * rest // fd)
             for dy in range(lo, hi + 1):
                 verts.append((x + rk, y + dy))
                 # A pair is never falsy, so a first slope of 0 stays first.
@@ -310,7 +321,24 @@ def enumerate_frobenius_polygons(
             stack.pop()
         else:
             stack.append(child)
-    found.sort(key=integer_heights)
+    # Each height times scale is an int, and minus low it lies in
+    # [0, base - 1], so a height vector reads as the base-``base`` digits of
+    # one int, ordered as the vectors are.  Proof: a concave polygon lies
+    # on or above its chord, which is >= min(0, total) on [0, r].  Its
+    # first slope s1 is at most the chord slope total/r plus the spread, as
+    # the last slope is at most total/r; so its height at x is at most
+    # x*s1 <= x*total/r + x*spread <= max(0, total) + r*spread.
+    scale = lcm(*range(1, r + 1))  # a multiple of every segment run
+    low = min(0, total) * scale
+    base = scale * (abs(total) + r * spread) + 1
+
+    def key(pg):
+        k = 0
+        for h in integer_heights(pg):
+            k = k * base + h.numerator * (scale // h.denominator) - low
+        return k
+
+    found.sort(key=key)
     return tuple(found)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -693,24 +694,68 @@ def test_canonical_polygon_refuses_over_budget(child_env):
     assert str(WORK_BUDGET) in proc.stderr
 
 
-def test_polygons_refuses_over_budget(child_env):
-    """A walk past the budget's vertex chains is refused (this command ran
-    past 5 s under the 1 GiB cap without the budget)."""
+def _refused_at_the_budget(proc):
     from frobstrat.algebra import WORK_BUDGET
 
-    argv = ("-m", "frobstrat", "polygons", "-p", "13", "-g", "3", "-r", "10", "-d", "0")
-    proc = _run_capped(child_env, *argv, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert f"{WORK_BUDGET + 1} vertex chains" in proc.stderr
+    assert re.search(rf"takes at least \d+ steps, over the work budget of {WORK_BUDGET} steps", proc.stderr)
+
+
+def test_polygons_refuses_over_budget(child_env):
+    """A walk past the budget's steps is refused (this command ran past 5 s
+    under the 1 GiB cap without the budget)."""
+    argv = ("-m", "frobstrat", "polygons", "-p", "13", "-g", "3", "-r", "10", "-d", "0")
+    _refused_at_the_budget(_run_capped(child_env, *argv, timeout=60))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("-p", "3", "-g", "1000", "-r", "5000", "-d", "0"), ("-p", "2", "-g", "2", "-r", "22", "-d", "0")],
+    ids=["p3-g1000-r5000", "p2-g2-r22"],
+)
+def test_polygons_refuses_a_walk_of_empty_windows(child_env, argv):
+    """Windows pruned to chains that can still close are empty at most
+    ranks here, so the walk pays a step for each rank it tries, not only
+    for the chains it visits."""
+    _refused_at_the_budget(_run_capped(child_env, "-m", "frobstrat", "polygons", *argv, timeout=30))
+
+
+def test_a_wide_walk_is_refused_before_its_sort_keys(child_env):
+    """At rank 10^5 the walk is refused before ``lcm(1..r)`` or any sort
+    key is built: both raise in the child if they are reached."""
+    code = """
+import frobstrat.polygons as pl
+from frobstrat.errors import InvalidParameters
+
+def reached(*args):
+    raise AssertionError("reached")
+
+pl.lcm = pl.integer_heights = reached
+try:
+    pl.enumerate_frobenius_polygons(2, 2, 10**5, 0)
+except InvalidParameters as err:
+    print(err)
+"""
+    proc = _run_capped(child_env, "-c", code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "steps, over the work budget" in proc.stdout
 
 
 def test_polygons_at_the_top_ladder_rung_is_within_budget(child_env):
-    """(11, 3, 7, 0), the benchmark's largest rung, walks 200,761 chains."""
+    """(11, 3, 7, 0), the benchmark's largest rung, takes 80,722 steps."""
     argv = ("-m", "frobstrat", "polygons", "-p", "11", "-g", "3", "-r", "7", "-d", "0")
     proc = _run_capped(child_env, *argv, "--format", "tsv")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 5766
+
+
+def test_polygons_at_p13_rank8_is_within_budget(child_env):
+    """(13, 3, 8, 0) runs, in about 2 s and 48 MiB."""
+    argv = ("-m", "frobstrat", "polygons", "-p", "13", "-g", "3", "-r", "8", "-d", "0")
+    proc = _run_capped(child_env, *argv, "--format", "tsv", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 29426
 
 
 def test_huge_p_is_refused_by_the_primality_bound(child_env):

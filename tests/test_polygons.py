@@ -116,26 +116,27 @@ def test_height_interpolates_exactly():
 
 
 def test_a_deep_polygon_walk_is_refused_at_its_budget(monkeypatch):
-    """The walk keeps its chain on an explicit stack, so a chain thousands
-    of segments long reaches the work budget, not the recursion limit.
-    The walk and the message read the one name ``algebra.WORK_BUDGET``."""
+    """A wide walk, whose pruned windows are empty at most of the 4,999
+    ranks it tries, is refused at the work budget: each rank tried costs a
+    step.  The walk and the message read the one name
+    ``algebra.WORK_BUDGET``."""
     import frobstrat.algebra as algebra
 
     monkeypatch.setattr(algebra, "WORK_BUDGET", 10_000)
-    with pytest.raises(InvalidParameters, match="at least 10001 vertex chains") as err:
+    with pytest.raises(InvalidParameters, match=r"takes at least \d+ steps") as err:
         enumerate_frobenius_polygons(3, 1000, 5000, 0)
-    assert "work budget of 10000 vertex chains" in str(err.value)
+    assert "work budget of 10000 steps" in str(err.value)
 
 
 def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
-    """(11, 3, 7, 0) visits exactly 200,761 vertex chains: a window that
-    admits a chain which can never close costs visits, not output."""
+    """(11, 3, 7, 0) takes exactly 80,722 steps: r - x for each chain the
+    walk visits at (x, y), and r + 1 for each of the 5,766 polygons kept."""
     import frobstrat.algebra as algebra
 
-    monkeypatch.setattr(algebra, "WORK_BUDGET", 200_760)
-    with pytest.raises(InvalidParameters, match="at least 200761 vertex chains"):
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 80_721)
+    with pytest.raises(InvalidParameters, match="at least 80722 steps"):
         enumerate_frobenius_polygons(11, 3, 7, 0)
-    monkeypatch.setattr(algebra, "WORK_BUDGET", 200_761)
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 80_722)
     assert len(enumerate_frobenius_polygons(11, 3, 7, 0)) == 5766
 
 
@@ -226,7 +227,7 @@ def test_enumerate_matches_box_search_oracle(params):
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
-@pytest.mark.parametrize("g", (2, 3))
+@pytest.mark.parametrize("g", (2, 3, 4))
 def test_enumerate_matches_the_fraction_walk(p, g):
     """Vertex tuples equal and in the same order at r = 2..5, d = -3..3:
     d < 0 and d prime to r make negative numerators, whose floor and
@@ -246,6 +247,28 @@ def test_enumerated_polygons_share_the_walks_vertex_pairs():
         for k in range(1, len(pg.vertices)):
             by_prefix.setdefault(pg.vertices[: k + 1], set()).add(id(pg.vertices[k]))
     assert all(len(ids) == 1 for ids in by_prefix.values())
+
+
+#: The largest rank the walk admitted at each (p, g, d) before its windows
+#: were pruned to chains that can still close, with the count it gave then.
+TOP_RUNGS = {
+    (2, 2, 11, 0): 621,
+    (3, 2, 11, 1): 5523,
+    (2, 3, 8, 0): 705,
+    (3, 3, 8, 0): 6127,
+    (5, 2, 10, 0): 11434,
+    (7, 2, 10, 1): 14912,
+}
+
+
+@pytest.mark.parametrize("rung", TOP_RUNGS, ids=lambda rung: ",".join(map(str, rung)))
+def test_the_pruned_walk_keeps_every_rung_and_its_order(rung):
+    """Each rung still runs with its count, and the one-int sort keys order
+    the polygons strictly by their Fraction height tuples."""
+    polys = enumerate_frobenius_polygons(*rung)
+    assert len(polys) == TOP_RUNGS[rung]
+    heights = [integer_heights(pg) for pg in polys]
+    assert all(a < b for a, b in zip(heights, heights[1:]))
 
 
 @pytest.mark.parametrize("params", ENUMERATED)
