@@ -315,12 +315,16 @@ def enumerate_frobenius_polygons(
     # Depth-first over a stack of per-level generators, so a chain's length
     # is bounded by the work budget and not by the recursion limit.
     stack = [extensions(None, None, None)]
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-        else:
-            stack.append(child)
+    try:
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
+    finally:  # extensions refers to itself: free its cells without the collector
+        del extensions
+    # The sort holds every key at once, so each is one int, not r + 1.
     # Each height times scale is an int, and minus low it lies in
     # [0, base - 1], so a height vector reads as the base-``base`` digits of
     # one int, ordered as the vectors are.  Proof: a concave polygon lies

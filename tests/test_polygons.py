@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -115,17 +118,53 @@ def test_height_interpolates_exactly():
             height(P3, x)
 
 
-def test_a_deep_polygon_walk_is_refused_at_its_budget(monkeypatch):
+def test_a_wide_polygon_walk_is_refused_at_its_budget(monkeypatch):
     """A wide walk, whose pruned windows are empty at most of the 4,999
     ranks it tries, is refused at the work budget: each rank tried costs a
-    step.  The walk and the message read the one name
-    ``algebra.WORK_BUDGET``."""
+    step.  At (3, 1000, 5000, 0) the root costs 5,000 steps, and the chain
+    to (1, 1) its 4,999 ranks and the 5,001 heights of the polygon it
+    closes, so a budget of 10,000 is passed at exactly 15,000.  The walk
+    and the message read the one name ``algebra.WORK_BUDGET``."""
     import frobstrat.algebra as algebra
 
     monkeypatch.setattr(algebra, "WORK_BUDGET", 10_000)
-    with pytest.raises(InvalidParameters, match=r"takes at least \d+ steps") as err:
+    with pytest.raises(InvalidParameters, match="takes at least 15000 steps") as err:
         enumerate_frobenius_polygons(3, 1000, 5000, 0)
     assert "work budget of 10000 steps" in str(err.value)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_deep_polygon_walk_is_refused_at_its_budget(monkeypatch):
+    """At (13, 2, 1000, 3) the walk builds polygons of 43 segments before a
+    budget of 120,000 refuses it at exactly 120,468 steps.  It does so with
+    only 25 interpreter frames to spare, where a walk recursing once per
+    segment would raise ``RecursionError``."""
+    import frobstrat.algebra as algebra
+    import frobstrat.polygons as polygons
+
+    longest = 0
+
+    def make_and_measure(vertices):
+        nonlocal longest
+        longest = max(longest, len(vertices))
+        return make_polygon(vertices)
+
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 120_000)
+    monkeypatch.setattr(polygons, "make_polygon", make_and_measure)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 25)
+    try:
+        with pytest.raises(InvalidParameters, match="takes at least 120468 steps"):
+            enumerate_frobenius_polygons(13, 2, 1000, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert longest == 44
 
 
 def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
@@ -138,6 +177,40 @@ def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
         enumerate_frobenius_polygons(11, 3, 7, 0)
     monkeypatch.setattr(algebra, "WORK_BUDGET", 80_722)
     assert len(enumerate_frobenius_polygons(11, 3, 7, 0)) == 5766
+
+
+def test_the_sort_keys_add_little_to_the_walks_memory():
+    """At (5, 4, 6, 1) the call's ``tracemalloc`` peak is at most 1.5 times
+    the memory left allocated when it returns (1.16 times): the sort key is
+    one int per polygon.  A tuple of r + 1 scaled ints per polygon peaks at
+    1.95 times, and the tuple of ``integer_heights`` itself at 3.36 times."""
+    enumerate_frobenius_polygons(2, 2, 3, 0)  # import and first-call costs
+    tracemalloc.start()
+    try:
+        result = enumerate_frobenius_polygons(5, 4, 6, 1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 5081 and peak <= 1.5 * current
+
+
+def test_a_walk_leaves_no_garbage_for_the_cycle_collector(monkeypatch):
+    """A returned or refused walk leaves no reference cycle behind, so the
+    list it builds and its polygons are freed as soon as the caller drops
+    them, not at some later collection."""
+    import frobstrat.algebra as algebra
+
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_frobenius_polygons(5, 4, 6, 1)
+        assert gc.collect() == 0
+        monkeypatch.setattr(algebra, "WORK_BUDGET", 10_000)
+        with pytest.raises(InvalidParameters):
+            enumerate_frobenius_polygons(5, 4, 6, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dominates_reference_relations():
