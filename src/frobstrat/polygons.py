@@ -11,12 +11,18 @@ realised by direct images under Frobenius with the dimension of its stratum.
 
 Heights and slopes are :class:`fractions.Fraction` values at the API; the
 order, convexity and slope bounds are decided by integer cross-products,
-so only the functions that return a Fraction import :mod:`fractions`.  The
-walk keeps each slope as an integer pair (num, den > 0) and each degree
-window as floor divisions, pruned to the chains that can still close, and
-sorts its polygons by one exact int per polygon read off their heights.
-A vertex pair that is already a tuple of two exact ints is kept, not
-copied, so the walk's polygons share their pairs with its chain.
+so only the functions that return a Fraction import :mod:`fractions`.  One
+validating pass converts a vertex chain, drops its collinear interior
+points and checks its start, its strictly increasing ranks (those of the
+raw chain, collinear points included) and its strict convexity; the
+public constructor and :func:`make_polygon` share it, and the polygon is
+then built by a trusted constructor that checks nothing again.  The walk
+keeps each slope as an integer pair (num, den > 0) and each degree window
+as floor divisions, pruned to the chains that can still close, and sorts
+its polygons by one exact int per polygon read off their heights, whose
+integral values are built from ints.  A vertex pair that is already a
+tuple of two exact ints is kept, not copied, so the walk's polygons share
+their pairs with its chain.
 """
 
 from __future__ import annotations
@@ -31,50 +37,84 @@ from .errors import BadStart, EndpointMismatch, InvalidParameters, NotConvex
 from .record import Record
 
 
-def _lattice_points(points) -> list[tuple[int, int]]:
-    """``points`` as integer pairs; a float or a fraction is refused, not
-    truncated.  A pair that is already a tuple of two exact ints is kept,
-    not copied, so polygons built from one chain share its pairs."""
-    pts = []
+def _lattice_points(points, drop_collinear: bool) -> tuple[tuple[int, int], ...]:
+    """The canonical vertex chain of ``points``, validated in one pass.
+
+    Each pair becomes an exact-int pair: a tuple of two exact ints is kept,
+    not copied, so polygons built from one chain share its pairs, and a
+    float or a fraction is refused, not truncated.  The same pass checks
+    that the ranks of the raw chain strictly increase and compares each
+    segment's slope with the last kept segment's by cross-multiplication.
+    An equal slope extends that segment when ``drop_collinear`` is set (as
+    ranks increase, a point drops at most the one kept vertex before it)
+    and is a turn that is not strictly clockwise otherwise.  A failed check
+    is raised once every pair is read, in the order: non-integral entry,
+    empty chain (:class:`BadStart` when dropping collinear points), fewer
+    than two vertices, start, ranks, convexity.
+    """
+    kept: list[tuple[int, int]] = []
+    rising = convex = True
+    sx, sy = 0, 1  # run and rise of the last kept segment; vertical before the first
     try:
         for pt in points:
-            a, b = pt
-            if type(pt) is not tuple or type(a) is not int or type(b) is not int:
-                pt = (index(a), index(b))
-            pts.append(pt)
+            x, y = pt
+            if type(pt) is not tuple or type(x) is not int or type(y) is not int:
+                pt = x, y = index(x), index(y)
+            if not kept:
+                kept.append(pt)
+            elif rising:
+                dx, dy = x - x1, y - y1
+                turn = sx * dy - sy * dx  # > 0 when the slope rises, 0 when it stays
+                if dx <= 0:
+                    rising = False  # only the entries are left to check
+                elif turn == 0 and drop_collinear:
+                    kept[-1] = pt  # the last segment grows, its slope stays
+                else:
+                    if turn >= 0:
+                        convex = False
+                    kept.append(pt)
+                    sx, sy = dx, dy
+            x1, y1 = x, y  # while ranks rise, also the last kept vertex
     except TypeError:
         raise _not_integral(points) from None
-    return pts
+    if not kept and drop_collinear:
+        raise BadStart("empty vertex chain")
+    if len(kept) < 2 and rising:  # a falling rank needs two points
+        raise InvalidParameters("a polygon needs at least two vertices")
+    if kept[0] != (0, 0):
+        raise BadStart(f"polygon must start at (0, 0), got {kept[0]}")
+    if not rising:
+        raise InvalidParameters("vertex ranks must strictly increase")
+    verts = tuple(kept)
+    if not convex:
+        raise NotConvex(f"segment slopes must strictly decrease, got {verts}")
+    return verts
 
 
 class LatticePolygon(Record):
     """Canonical vertex chain: starts at (0, 0), slopes strictly decreasing.
 
-    Construction validates the canonical-form invariants; use
+    Construction runs the one validating pass of :func:`_lattice_points`,
+    which refuses a collinear interior vertex as not convex; use
     :func:`make_polygon` to build one from a raw chain that may still
     contain collinear interior vertices.  A vertex given as a tuple of two
     exact ints is kept, not copied; any other pair is converted.
+    :meth:`_from_canonical` is the trusted constructor for a chain that
+    pass has already returned.
     """
 
     vertices: tuple[tuple[int, int], ...]
 
     def __init__(self, vertices) -> None:
-        verts = tuple(_lattice_points(vertices))
-        object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise InvalidParameters("a polygon needs at least two vertices")
-        if verts[0] != (0, 0):
-            raise BadStart(f"polygon must start at (0, 0), got {verts[0]}")
-        ranks = [a for a, _ in verts]
-        if any(x >= y for x, y in zip(ranks, ranks[1:])):
-            raise InvalidParameters("vertex ranks must strictly increase")
-        # With ranks increasing, a turn that is not strictly clockwise is
-        # a slope that does not strictly decrease.
-        for i in range(len(verts) - 2):
-            if _cross(*verts[i : i + 3]) >= 0:
-                raise NotConvex(
-                    f"segment slopes must strictly decrease, got {verts}"
-                )
+        object.__setattr__(self, "vertices", _lattice_points(vertices, False))
+
+    @classmethod
+    def _from_canonical(cls, vertices) -> LatticePolygon:
+        """Polygon on a vertex tuple :func:`_lattice_points` returned,
+        without checking it again."""
+        self = object.__new__(cls)
+        self.__dict__["vertices"] = vertices
+        return self
 
     @property
     def endpoint(self) -> tuple[int, int]:
@@ -91,21 +131,16 @@ class LatticePolygon(Record):
 def make_polygon(points) -> LatticePolygon:
     """Build a polygon from a vertex chain, dropping collinear interior points.
 
-    The chain must start at (0, 0) with strictly increasing ranks; slopes
-    must strictly decrease once collinear points are removed, otherwise
-    :class:`NotConvex` is raised.  Pairs that are tuples of two exact ints
-    are kept, not copied; a bool, an int subclass or a list pair becomes
-    an exact-int tuple, and a float or a fraction is refused.
+    The chain must start at (0, 0) and the ranks of the raw chain, collinear
+    points included, must strictly increase; slopes must strictly decrease
+    once collinear points are removed, otherwise :class:`NotConvex` is
+    raised.  One pass converts, validates and drops (:func:`_lattice_points`),
+    and the polygon is built by the trusted constructor, so no check runs
+    twice.  Pairs that are tuples of two exact ints are kept, not copied; a
+    bool, an int subclass or a list pair becomes an exact-int tuple, and a
+    float or a fraction is refused.
     """
-    pts = _lattice_points(points)
-    if not pts:
-        raise BadStart("empty vertex chain")
-    kept: list[tuple[int, int]] = []
-    for pt in pts:
-        while len(kept) >= 2 and _cross(kept[-2], kept[-1], pt) == 0:
-            kept.pop()
-        kept.append(pt)
-    return LatticePolygon(tuple(kept))
+    return LatticePolygon._from_canonical(_lattice_points(points, True))
 
 
 def _upper_hull(points):
@@ -165,8 +200,12 @@ def height(pg: LatticePolygon, x) -> Fraction:
 
 def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Heights at the integer abscissae 0, 1, ..., rank, in one pass over
-    the segments: (y0*dx + dy*k)/dx at x0 + k on the segment from (x0, y0)
-    with run dx and rise dy, then the endpoint's degree.  Refused when the
+    the segments: y0 at the start x0 of the segment from (x0, y0) with run
+    dx and rise dy, (y0*dx + dy*k)/dx at x0 + k for 0 < k < dx, then the
+    endpoint's degree.  Every vertex height, so every height of a run-1
+    segment, is an int and becomes ``Fraction(y)`` without a gcd; only the
+    interior abscissae of longer runs pass a numerator and a denominator.
+    Each height is a :class:`~fractions.Fraction`.  Refused when the
     rank + 1 abscissae exceed :data:`~frobstrat.algebra.WORK_BUDGET`."""
     from fractions import Fraction
     verts = pg.vertices
@@ -175,8 +214,11 @@ def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
         raise _over_budget(f"a polygon of rank {n - 1} has", n, "integer abscissae")
     heights: list[Fraction] = []
     for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        heights += [Fraction(y0 * dx + dy * k, dx) for k in range(dx)]
+        heights.append(Fraction(y0))
+        dx = x1 - x0
+        if dx > 1:
+            dy = y1 - y0
+            heights += [Fraction(y0 * dx + dy * k, dx) for k in range(1, dx)]
     heights.append(Fraction(verts[-1][1]))
     return tuple(heights)
 
@@ -258,11 +300,12 @@ def enumerate_frobenius_polygons(
     Each polygon holds the walk's vertex pairs, not copies, and the one
     endpoint pair of the call.  Returns a tuple of pairwise distinct
     polygons ending at (r, p*d), sorted by their height vectors at integer
-    abscissae, a total order refining domination, each vector read as the
-    digits of one int.  Refused once the walk takes more steps than
-    :data:`~frobstrat.algebra.WORK_BUDGET`, counting r - x for each chain
-    visited at (x, y) (its closing segment and each rank it tries) and
-    r + 1 for each polygon kept: (11, 3, 7, 0) takes 80,722.
+    abscissae, a total order refining domination, each vector folded into
+    one int in base 1 + lcm(1..r) * (|p*d| + r*spread).  Refused once the
+    walk takes more steps than :data:`~frobstrat.algebra.WORK_BUDGET`,
+    counting r - x for each chain visited at (x, y) (its closing segment
+    and each rank it tries) and r + 1 for each polygon kept: (11, 3, 7, 0)
+    takes 80,722.
     """
     require_prime(p)
     g = _checked_int(g, "genus", 2)
@@ -325,21 +368,22 @@ def enumerate_frobenius_polygons(
     finally:  # extensions refers to itself: free its cells without the collector
         del extensions
     # The sort holds every key at once, so each is one int, not r + 1.
-    # Each height times scale is an int, and minus low it lies in
-    # [0, base - 1], so a height vector reads as the base-``base`` digits of
-    # one int, ordered as the vectors are.  Proof: a concave polygon lies
-    # on or above its chord, which is >= min(0, total) on [0, r].  Its
-    # first slope s1 is at most the chord slope total/r plus the spread, as
-    # the last slope is at most total/r; so its height at x is at most
-    # x*s1 <= x*total/r + x*spread <= max(0, total) + r*spread.
+    # Each height times scale is an int, and two of them differ by at most
+    # base - 1, so height vectors are ordered as the ints sum(h_i * scale *
+    # base**(r - i)): where two vectors first differ, base**(r - i) outweighs
+    # the at most base**(r - i) - 1 that all later entries can take back.
+    # Proof of the width: a concave polygon lies on or above its chord,
+    # which is >= min(0, total) on [0, r].  Its first slope s1 is at most
+    # the chord slope total/r plus the spread, as the last slope is at most
+    # total/r; so its height at x is at most x*s1 <= max(0, total) + r*spread.
     scale = lcm(*range(1, r + 1))  # a multiple of every segment run
-    low = min(0, total) * scale
     base = scale * (abs(total) + r * spread) + 1
 
     def key(pg):
         k = 0
         for h in integer_heights(pg):
-            k = k * base + h.numerator * (scale // h.denominator) - low
+            n, den = h.as_integer_ratio()
+            k = k * base + n * (scale // den)
         return k
 
     found.sort(key=key)

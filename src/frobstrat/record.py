@@ -17,9 +17,10 @@ class Record:
     to fields like a call signature, then runs ``__post_init__`` if the
     class has one; a check there may normalise a field with
     :func:`object.__setattr__`.  Types built in hot loops also have a
-    trusted classmethod constructor, ``_from_terms`` or ``_from_reduced``:
-    it takes fields already in normal form, makes the checks inline and
-    writes the fields into the instance ``__dict__``.
+    trusted classmethod constructor, ``_from_terms``, ``_from_reduced`` or
+    ``_from_canonical``: it takes fields already in normal form, makes
+    inline the checks its callers have not made, and writes the fields
+    into the instance ``__dict__``.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

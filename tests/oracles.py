@@ -4,9 +4,11 @@ Each oracle recomputes a quantity along a path independent of the library
 code it checks: row-space enumeration for matrix ranks,
 one-step-at-a-time monomial rewriting for the pullback normal form, dense
 coefficient grids for the shifts and images of pullback elements, a box
-search over vertex chains for the polygon enumeration, and
+search over vertex chains for the polygon enumeration,
 :class:`~fractions.Fraction` slopes and heights for the polygon walk, order
-and slope bounds the library decides by integer cross-multiplication.  The
+and slope bounds the library decides by integer cross-multiplication, and
+polygon construction as separate passes (convert, check, drop collinear
+points, check again) for the library's one validating pass.  The
 vertexwise polygon comparison lives here too, since only the tests use it.
 """
 
@@ -15,8 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import index
 
-from frobstrat.errors import EndpointMismatch, PrecisionExhausted
+from frobstrat.errors import (
+    BadStart,
+    EndpointMismatch,
+    InvalidParameters,
+    NotConvex,
+    PrecisionExhausted,
+)
 from frobstrat.polygons import height, make_polygon, slope_gaps, slopes
 
 
@@ -226,3 +235,54 @@ def fraction_walk_polygons(p, g, r, d):
     walk([(0, 0)], None, None)
     found.sort(key=lambda pg: tuple(height(pg, x) for x in range(r + 1)))
     return [pg.vertices for pg in found]
+
+
+def _exact_pairs(points) -> tuple[tuple[int, int], ...]:
+    """``points`` as exact-int pairs; a float or a fraction is refused."""
+    try:
+        return tuple((index(a), index(b)) for a, b in points)
+    except TypeError:
+        raise InvalidParameters(f"entries must be integers, got {points!r}") from None
+
+
+def _check_head_and_ranks(verts) -> None:
+    """At least two vertices, the first at (0, 0), ranks strictly increasing."""
+    if len(verts) < 2:
+        raise InvalidParameters("a polygon needs at least two vertices")
+    if verts[0] != (0, 0):
+        raise BadStart(f"polygon must start at (0, 0), got {verts[0]}")
+    ranks = [a for a, _ in verts]
+    if any(x >= y for x, y in zip(ranks, ranks[1:])):
+        raise InvalidParameters("vertex ranks must strictly increase")
+
+
+def _turn(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def two_pass_lattice_polygon(vertices) -> tuple[tuple[int, int], ...]:
+    """The vertices :class:`~frobstrat.polygons.LatticePolygon` keeps, each
+    check a separate pass over the whole chain: conversion, length, start,
+    ranks, then every turn strictly clockwise."""
+    verts = _exact_pairs(vertices)
+    _check_head_and_ranks(verts)
+    if any(_turn(*verts[i : i + 3]) >= 0 for i in range(len(verts) - 2)):
+        raise NotConvex(f"segment slopes must strictly decrease, got {verts}")
+    return verts
+
+
+def two_pass_make_polygon(points) -> tuple[tuple[int, int], ...]:
+    """The vertices :func:`~frobstrat.polygons.make_polygon` returns: the
+    raw chain converted and its head and ranks checked, collinear interior
+    points dropped by a stack that pops while the last two kept points and
+    the next are collinear, then the kept chain checked again in full."""
+    pts = _exact_pairs(points)
+    if not pts:
+        raise BadStart("empty vertex chain")
+    _check_head_and_ranks(pts)
+    kept: list[tuple[int, int]] = []
+    for pt in pts:
+        while len(kept) >= 2 and _turn(kept[-2], kept[-1], pt) == 0:
+            kept.pop()
+        kept.append(pt)
+    return two_pass_lattice_polygon(kept)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +32,7 @@ from frobstrat.polygons import (
 from frobstrat.errors import (
     BadStart,
     EndpointMismatch,
+    FrobstratError,
     InvalidParameters,
     NotConvex,
 )
@@ -41,6 +43,8 @@ from oracles import (
     fraction_is_canonical,
     fraction_spread_bound,
     fraction_walk_polygons,
+    two_pass_lattice_polygon,
+    two_pass_make_polygon,
     vertexwise_above,
 )
 
@@ -98,6 +102,162 @@ def test_exact_int_pairs_are_kept_and_others_converted():
 def test_nonincreasing_ranks_rejected():
     with pytest.raises(InvalidParameters):
         make_polygon([(0, 0), (2, 1), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        [(0, 0), (2, 0), (1, 0)],
+        [(0, 0), (3, 3), (1, 1), (2, 0)],
+        [(0, 0), (1, 1), (3, 3), (2, 2), (4, 0)],
+    ],
+)
+def test_ranks_going_back_along_a_line_are_rejected(chain):
+    """The raw chain's ranks must rise, not only those of the chain left
+    once collinear points are dropped: each chain here goes back along a
+    line, and dropping its collinear points would leave a valid polygon."""
+    with pytest.raises(InvalidParameters, match="vertex ranks must strictly increase"):
+        make_polygon(chain)
+
+
+def _outcome(build, chain):
+    """The vertices ``build`` returns for ``chain``, or its error's type and message."""
+    try:
+        got = build(chain)
+    except (FrobstratError, ValueError) as exc:
+        return type(exc), str(exc)
+    return getattr(got, "vertices", got)
+
+
+def _convex_chain(rng, collinear=False):
+    """A chain from (0, 0) with strictly decreasing slopes; with
+    ``collinear``, at least one segment is cut into equal-slope pieces."""
+    segs = {}
+    for _ in range(rng.randint(1, 5)):
+        run, rise = rng.randint(1, 3), rng.randint(-6, 6)
+        segs.setdefault(Fraction(rise, run), (run, rise))
+    order = sorted(segs, reverse=True)
+    cut = rng.randrange(len(order)) if collinear else None
+    chain = [(0, 0)]
+    for i, slope in enumerate(order):
+        run, rise = segs[slope]
+        pieces = rng.randint(2, 3) if i == cut or (collinear and rng.random() < 0.3) else 1
+        for _ in range(pieces):
+            x, y = chain[-1]
+            chain.append((x + run, y + rise))
+    return chain
+
+
+def _backtracking_chain(rng):
+    """A chain with one rank that does not rise: a repeated vertex, a
+    vertex moved back along its segment, or two vertices swapped."""
+    chain = _convex_chain(rng, collinear=rng.random() < 0.5)
+    k = rng.randrange(1, len(chain))
+    how = rng.randrange(3)
+    if how == 0:
+        chain.insert(k, chain[k])
+    elif how == 1:
+        (x0, y0), (x1, y1) = chain[k - 1], chain[k]
+        chain.insert(k + 1, ((x0 + x1) // 2, y0 + (y1 - y0) * ((x1 - x0) // 2) // (x1 - x0)))
+    elif len(chain) > 2:
+        j = rng.choice([i for i in range(1, len(chain)) if i != k])
+        chain[k], chain[j] = chain[j], chain[k]
+    else:
+        chain.append(chain[0])
+    return chain
+
+
+def _non_integral_chain(rng):
+    """A chain with one entry a float or a Fraction, sometimes also with a
+    bad start, or a valid chain given as lists, bools and int subclasses."""
+
+    class Int(int):
+        pass
+
+    chain = [list(pt) for pt in _convex_chain(rng)]
+    k, j = rng.randrange(len(chain)), rng.randrange(2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        chain[k][j] = float(chain[k][j])
+    elif kind == 1:
+        chain[k][j] = Fraction(chain[k][j]) + rng.choice((0, Fraction(1, 2)))
+    elif kind == 2:
+        chain[k][j] = Int(chain[k][j])
+        chain[0][1] = True
+    if rng.random() < 0.3:
+        chain[0][0] += 1
+    return [tuple(pt) if rng.random() < 0.5 else pt for pt in chain]
+
+
+def _random_chain(rng):
+    """Any short chain: unsorted ranks, any heights, often starting at (0, 0)."""
+    chain = [(rng.randint(0, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))]
+    if chain and rng.random() < 0.7:
+        chain[0] = (0, 0)
+    return chain
+
+
+def _shifted(chain, rng):
+    dx, dy = rng.choice([(1, 0), (0, 1), (-1, 2)])
+    return [(x + dx, y + dy) for x, y in chain]
+
+
+def _shuffled(chain, rng):
+    """The segments of ``chain`` in a random order, from (0, 0)."""
+    segs = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(chain, chain[1:])]
+    rng.shuffle(segs)
+    out = [(0, 0)]
+    for run, rise in segs:
+        out.append((out[-1][0] + run, out[-1][1] + rise))
+    return out
+
+
+#: Each chain class of the construction diff, as a seeded chain generator.
+CHAIN_CLASSES = {
+    "valid": _convex_chain,
+    "collinear runs": lambda rng: _convex_chain(rng, collinear=True),
+    "non-convex": lambda rng: _shuffled(_convex_chain(rng, rng.random() < 0.5), rng),
+    "bad start": lambda rng: _shifted(_convex_chain(rng, rng.random() < 0.5), rng),
+    "one point": lambda rng: [rng.choice([(0, 0), (1, 0), (0, -2)])],
+    "empty": lambda rng: rng.choice([[], ()]),
+    "equal or backtracking ranks": _backtracking_chain,
+    "float or Fraction pairs": _non_integral_chain,
+    "random": _random_chain,
+}
+
+
+@pytest.mark.parametrize("kind", CHAIN_CLASSES)
+def test_construction_matches_the_two_pass_oracle(kind):
+    """:func:`make_polygon` and :class:`LatticePolygon` give the vertices of
+    the two-pass oracle, or its error type and message (so the precedence
+    non-integral, empty, fewer than two, start, ranks, convexity holds), on
+    a seeded sample of each chain class."""
+    rng = random.Random(f"construction {kind}")
+    for _ in range(300):
+        chain = CHAIN_CLASSES[kind](rng)
+        assert _outcome(make_polygon, chain) == _outcome(two_pass_make_polygon, chain), chain
+        assert _outcome(LatticePolygon, chain) == _outcome(two_pass_lattice_polygon, chain), chain
+
+
+#: The benchmark's five ladder rungs (p, g, r, d).
+LADDER = ((3, 2, 3, 0), (5, 3, 5, 0), (7, 3, 6, 1), (5, 4, 6, 1), (11, 3, 7, 0))
+
+
+@pytest.mark.parametrize("rung", LADDER, ids=lambda rung: ",".join(map(str, rung)))
+def test_ladder_polygons_rebuild_as_the_two_pass_oracle_builds_them(rung):
+    """Every enumerated polygon, rebuilt from its vertices (with a midpoint
+    added on each segment that has one), is the oracle's polygon."""
+    for pg in enumerate_frobenius_polygons(*rung):
+        verts = list(pg.vertices)
+        assert make_polygon(verts).vertices == two_pass_make_polygon(verts) == pg.vertices
+        assert LatticePolygon(verts).vertices == two_pass_lattice_polygon(verts)
+        padded = [verts[0]]
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+            if (x1 - x0) % 2 == 0 and (y1 - y0) % 2 == 0:
+                padded.append(((x0 + x1) // 2, (y0 + y1) // 2))
+            padded.append((x1, y1))
+        assert make_polygon(padded).vertices == two_pass_make_polygon(padded) == pg.vertices
+        assert _outcome(LatticePolygon, padded) == _outcome(two_pass_lattice_polygon, padded)
 
 
 def test_slopes_examples():
@@ -362,7 +522,9 @@ def test_integer_heights_match_height(params):
     and the oracle parameter sets)."""
     for pg in enumerate_frobenius_polygons(*params):
         want = tuple(height(pg, x) for x in range(pg.rank + 1))
-        assert integer_heights(pg) == want
+        got = integer_heights(pg)
+        assert got == want
+        assert all(type(h) is Fraction for h in got)
 
 
 #: Ladder rungs whose polygons the integer predicates are diffed on.

@@ -11,7 +11,7 @@ from frobstrat.local_frobenius import (
     LocalContext,
     PullbackElement,
 )
-from frobstrat.polygons import REFERENCE_POLYGONS, LatticePolygon
+from frobstrat.polygons import REFERENCE_POLYGONS, LatticePolygon, make_polygon
 from frobstrat.strata import CurveContext, FiberCensus, StratumReport
 
 P4 = REFERENCE_POLYGONS["P4"]
@@ -88,3 +88,21 @@ def test_fiber_point_equality_is_projective():
     assert hash(FiberPoint((2, 0, 0), 3)) == hash(FiberPoint((1, 0, 0), 3))
     assert len({FiberPoint((k, 2 * k, 0), 3) for k in (1, 2)}) == 1
     assert FiberPoint((1, 0, 0), 3) != FiberPoint((0, 1, 0), 3)
+
+
+def test_a_polygon_from_the_trusted_path_is_a_full_record():
+    """:func:`make_polygon` builds through the trusted constructor, which
+    skips ``__init__``; the polygon still equals, hashes and prints like
+    the constructor's, and stays frozen."""
+    verts = ((0, 0), (1, 2), (2, 2), (3, 0))
+    made, built = make_polygon([(0, 0), (1, 2), (2, 2), (3, 0)]), LatticePolygon(verts)
+    assert type(made) is LatticePolygon
+    assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+    assert made.vertices == verts
+    with pytest.raises(AttributeError):
+        made.vertices = verts
+    with pytest.raises(AttributeError):
+        del made.vertices
+    with pytest.raises(AttributeError):
+        made.extra = 1
+    assert made == built
