@@ -111,9 +111,11 @@ class LatticePolygon(Record):
     @classmethod
     def _from_canonical(cls, vertices) -> LatticePolygon:
         """Polygon on a vertex tuple :func:`_lattice_points` returned,
-        without checking it again."""
+        without checking it again.  The field is set, not written into
+        ``__dict__``: reading ``__dict__`` would give each polygon a dict
+        of its own, 64 more bytes than its inline attribute values."""
         self = object.__new__(cls)
-        self.__dict__["vertices"] = vertices
+        object.__setattr__(self, "vertices", vertices)
         return self
 
     @property

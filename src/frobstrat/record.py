@@ -19,8 +19,8 @@ class Record:
     :func:`object.__setattr__`.  Types built in hot loops also have a
     trusted classmethod constructor, ``_from_terms``, ``_from_reduced`` or
     ``_from_canonical``: it takes fields already in normal form, makes
-    inline the checks its callers have not made, and writes the fields
-    into the instance ``__dict__``.
+    inline the checks its callers have not made, and sets the fields
+    without the generic binding.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
