@@ -302,12 +302,11 @@ def enumerate_frobenius_polygons(
     Each polygon holds the walk's vertex pairs, not copies, and the one
     endpoint pair of the call.  Returns a tuple of pairwise distinct
     polygons ending at (r, p*d), sorted by their height vectors at integer
-    abscissae, a total order refining domination, each vector folded into
-    one int in base 1 + lcm(1..r) * (|p*d| + r*spread).  Refused once the
-    walk takes more steps than :data:`~frobstrat.algebra.WORK_BUDGET`,
-    counting r - x for each chain visited at (x, y) (its closing segment
-    and each rank it tries) and r + 1 for each polygon kept: (11, 3, 7, 0)
-    takes 80,722.
+    abscissae, a total order refining domination, each vector read as the
+    digits of one int.  Refused once the walk takes more steps than
+    :data:`~frobstrat.algebra.WORK_BUDGET`, counting r - x for each chain
+    visited at (x, y) (its closing segment and each rank it tries) and
+    r + 1 for each polygon kept: (11, 3, 7, 0) takes 80,722.
     """
     require_prime(p)
     g = _checked_int(g, "genus", 2)
@@ -370,22 +369,21 @@ def enumerate_frobenius_polygons(
     finally:  # extensions refers to itself: free its cells without the collector
         del extensions
     # The sort holds every key at once, so each is one int, not r + 1.
-    # Each height times scale is an int, and two of them differ by at most
-    # base - 1, so height vectors are ordered as the ints sum(h_i * scale *
-    # base**(r - i)): where two vectors first differ, base**(r - i) outweighs
-    # the at most base**(r - i) - 1 that all later entries can take back.
-    # Proof of the width: a concave polygon lies on or above its chord,
-    # which is >= min(0, total) on [0, r].  Its first slope s1 is at most
-    # the chord slope total/r plus the spread, as the last slope is at most
-    # total/r; so its height at x is at most x*s1 <= max(0, total) + r*spread.
+    # Each height times scale is an int, and minus low it lies in
+    # [0, base - 1], so a height vector reads as the base-``base`` digits of
+    # one int, ordered as the vectors are.  Proof: a concave polygon lies
+    # on or above its chord, which is >= min(0, total) on [0, r].  Its
+    # first slope s1 is at most the chord slope total/r plus the spread, as
+    # the last slope is at most total/r; so its height at x is at most
+    # x*s1 <= x*total/r + x*spread <= max(0, total) + r*spread.
     scale = lcm(*range(1, r + 1))  # a multiple of every segment run
+    low = min(0, total) * scale
     base = scale * (abs(total) + r * spread) + 1
 
     def key(pg):
         k = 0
         for h in integer_heights(pg):
-            n, den = h.as_integer_ratio()
-            k = k * base + n * (scale // den)
+            k = k * base + h.numerator * (scale // h.denominator) - low
         return k
 
     found.sort(key=key)
