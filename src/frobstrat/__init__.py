@@ -57,6 +57,7 @@ _EXPORTS = {
         "submodule_contains",
         "submodule_contains_monomial",
         "tau_power",
+        "verify_claims",
     ),
     "polygons": (
         "REFERENCE_POLYGONS",

@@ -1,10 +1,12 @@
 """Command-line front end emitting the classification tables as JSON or TSV.
 
 Every command is a thin adapter over the library: no arithmetic lives
-here.  JSON output is minified with sorted keys and TSV uses bare tab and
-newline separators, so both formats are byte-stable for a fixed command
-line.  Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an
-internal invariant violation.
+here.  The membership claims of ``verify-claims``, for one, are defined
+and checked by :func:`frobstrat.local_frobenius.verify_claims`.  JSON
+output is minified with sorted keys and TSV uses bare tab and newline
+separators, so both formats are byte-stable for a fixed command line.
+Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an internal
+invariant violation or a failed claim.
 
 Each command's handler imports the layers it uses when it runs, so one
 call loads and compiles only what its own command needs.  A call builds
@@ -182,43 +184,17 @@ def _cmd_canonical_polygon(args):
 
 
 def _cmd_verify_claims(args):
-    """Membership of tau^(p-1) t^j against the monomial criterion, for the
-    four shift values j = 0, 1, p-1, p, over every point of P^(p-1)(F_p)."""
-    from .local_frobenius import LocalContext, fiber_points, right_multiply
-    from .local_frobenius import submodule_contains, submodule_contains_monomial
-    from .local_frobenius import tau_power
+    """Each row of :func:`~frobstrat.local_frobenius.verify_claims`, which
+    defines the claims, with its status; exit 2 when a claim fails."""
+    from .local_frobenius import verify_claims
 
-    p = args.p
-    ctx = LocalContext.default(p)
-    points = fiber_points(p)
-    top = tau_power(ctx, p - 1)
-    results = []
-    all_ok = True
-    for name, shift in (("a", 0), ("b", 1), ("c", p - 1), ("d", p)):
-        element = right_multiply(top, shift)
-        passed = 0
-        for point in points:
-            member = submodule_contains(element, point)
-            expected = all(
-                submodule_contains_monomial(point, k) for k in range(shift, p)
-            )
-            if member == expected:
-                passed += 1
-        ok = passed == len(points)
-        all_ok = all_ok and ok
-        results.append(
-            {
-                "claim": name,
-                "passed": passed,
-                "status": "pass" if ok else "fail",
-                "total": len(points),
-            }
-        )
-    lines = [
-        f"{row['claim']}\t{row['status']}\t{row['passed']}\t{row['total']}"
-        for row in results
+    rows = [
+        (claim, "pass" if passed == total else "fail", passed, total)
+        for claim, passed, total in verify_claims(args.p)
     ]
-    return results, lines, 0 if all_ok else 2
+    payload = [dict(zip(("claim", "status", "passed", "total"), row)) for row in rows]
+    lines = ["\t".join(map(str, row)) for row in rows]
+    return payload, lines, 2 if any(row[1] == "fail" for row in rows) else 0
 
 
 #: Command name -> (help line, flags it reads besides ``--format``, handler).

@@ -291,6 +291,32 @@ def submodule_contains_monomial(point: FiberPoint, j: int) -> bool:
     return j >= point.modulus or point.lambdas[j] == 0
 
 
+def verify_claims(p: int) -> tuple[tuple[str, int, int], ...]:
+    """The four membership claims, checked at every point of P^{p-1}(F_p).
+
+    Claims a, b, c and d take the shifts j = 0, 1, p - 1 and p: each says
+    that tau^(p-1) t^j lies in V ⊗_A k[[t]] exactly when t^j, ...,
+    t^(p-1) all lie in V.  Returns one row (claim, passed, total) per
+    claim, in order, where ``passed`` counts the points at which
+    membership and the monomial criterion agree.  Inherits the budget of
+    :func:`fiber_points`: p <= 7 runs, p = 11 is refused before any point
+    is built.
+    """
+    ctx = LocalContext.default(p)
+    points = fiber_points(p)
+    top = tau_power(ctx, p - 1)
+    rows = []
+    for claim, shift in (("a", 0), ("b", 1), ("c", p - 1), ("d", p)):
+        element = right_multiply(top, shift)
+        passed = sum(
+            submodule_contains(element, point)
+            == all(submodule_contains_monomial(point, k) for k in range(shift, p))
+            for point in points
+        )
+        rows.append((claim, passed, len(points)))
+    return tuple(rows)
+
+
 def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     """Codimension of (V ⊗_A k[[t]]) ∩ (level stalk) inside the level stalk.
 

@@ -34,9 +34,12 @@ def _load(name):
     return module
 
 
+tracing, workloads = _load("tracing"), _load("workloads")
+EXPECTED = workloads.load_expected()
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
 def test_fiber_polygon_call_counts_match_the_benchmark_guard(p):
-    tracing, workloads = _load("tracing"), _load("workloads")
     ctx, point = lf.LocalContext.default(p), lf.FiberPoint((1,) * p, p)
     tracer = tracing.Tracer()
     tracer.install()
@@ -50,11 +53,10 @@ def test_fiber_polygon_call_counts_match_the_benchmark_guard(p):
     assert calls == workloads.polygon_counts(p)
 
 
-@pytest.mark.parametrize("rung", _load("workloads").LADDER)
+@pytest.mark.parametrize("rung", workloads.LADDER)
 def test_enumeration_call_counts_and_output_match_the_benchmark(rung):
     """Every rung of the benchmark's ladder, (11, 3, 7, 0) included."""
-    tracing, workloads = _load("tracing"), _load("workloads")
-    want = workloads.load_expected()["enumerate"][",".join(map(str, rung))]
+    want = EXPECTED["enumerate"][",".join(map(str, rung))]
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -74,22 +76,20 @@ def test_enumeration_call_counts_and_output_match_the_benchmark(rung):
 
 #: One seeded cycle of the benchmark's CLI mix: every command in both formats,
 #: ``classify`` at p = 3 and 7, ``verify-claims -p 5`` and ``polygons -p 7``.
-CLI_MIX = _load("workloads").cli_mix(random.Random(5))
+CLI_MIX = workloads.cli_mix(random.Random(5))
 
 
 @pytest.mark.parametrize(
     "key, model, argv", CLI_MIX, ids=[" ".join(argv) for _, _, argv in CLI_MIX]
 )
 def test_cli_call_counts_match_the_benchmark_guard(key, model, argv, capsys):
-    tracing, workloads = _load("tracing"), _load("workloads")
-    expected = workloads.load_expected()
     tracer = tracing.Tracer()
     tracer.install()
     try:
         code = cli.main(list(argv))  # the wrapper: looked up after install
     finally:
         tracer.uninstall()
-    want = expected["cli"][key]
+    want = EXPECTED["cli"][key]
     assert (code, workloads.digest(capsys.readouterr().out)) == (want["exit"], want["sha256"])
     calls, _, _ = tracer.totals()
-    assert calls == workloads.cli_counts([(key, model, argv)], expected)
+    assert calls == workloads.cli_counts([(key, model, argv)], EXPECTED)

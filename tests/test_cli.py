@@ -163,6 +163,29 @@ def test_verify_claims_char_five(capsys):
     assert all(row["total"] == 5**4 + 5**3 + 5**2 + 5 + 1 for row in rows)
 
 
+def test_verify_claims_reports_a_failed_claim(capsys, monkeypatch):
+    """A criterion that disagrees at one point fails claim a alone, in
+    both formats, and the command exits 2."""
+    import frobstrat.local_frobenius as lf
+
+    criterion, odd = lf.submodule_contains_monomial, lf.FiberPoint((1, 0, 0), 3)
+    # Only claim a (shift 0) reads the criterion at k = 0.
+    monkeypatch.setattr(
+        lf,
+        "submodule_contains_monomial",
+        lambda point, k: criterion(point, k) != (point == odd and k == 0),
+    )
+    code, out, _ = run_cli(capsys, ["verify-claims"])
+    assert code == 2
+    assert json.loads(out) == [
+        {"claim": "a", "passed": 12, "status": "fail", "total": 13},
+        *({"claim": c, "passed": 13, "status": "pass", "total": 13} for c in "bcd"),
+    ]
+    code, out, _ = run_cli(capsys, ["verify-claims", "--format", "tsv"])
+    assert code == 2
+    assert out.splitlines() == ["a\tfail\t12\t13", *(f"{c}\tpass\t13\t13" for c in "bcd")]
+
+
 def test_output_is_deterministic(capsys):
     runs = []
     for _ in range(2):

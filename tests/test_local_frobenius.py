@@ -32,6 +32,7 @@ from frobstrat.local_frobenius import (
     submodule_contains,
     submodule_contains_monomial,
     tau_power,
+    verify_claims,
 )
 from frobstrat.polygons import REFERENCE_POLYGONS, reference_label
 from frobstrat.strata import filtration_degrees
@@ -264,6 +265,20 @@ def test_membership_claims_exhaustive():
         )
         # (d) tau^2 t^3 is always in
         assert submodule_contains(right_multiply(top, 3), point)
+
+
+def test_verify_claims_at_p2():
+    """One (claim, passed, total) row per claim; at p = 2 the shifts 1 and
+    p - 1 coincide, so claims b and c check the same element."""
+    assert verify_claims(2) == tuple((c, 3, 3) for c in "abcd")
+
+
+def test_verify_claims_is_refused_before_any_point_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(lf, "FiberPoint", lambda *args: built.append(args))
+    with pytest.raises(InvalidParameters, match="28531167061 points"):
+        verify_claims(11)
+    assert built == []
 
 
 def test_monomial_membership():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import itertools
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -36,6 +35,7 @@ from frobstrat.errors import (
     InvalidParameters,
     NotConvex,
 )
+from conftest import _run_capped
 from oracles import (
     brute_enumerate_polygons,
     fraction_dominates,
@@ -278,53 +278,71 @@ def test_height_interpolates_exactly():
             height(P3, x)
 
 
-def test_a_wide_polygon_walk_is_refused_at_its_budget(monkeypatch):
+def test_a_wide_polygon_walk_is_refused_at_its_budget(child_env):
     """A wide walk, whose pruned windows are empty at most of the 4,999
     ranks it tries, is refused at the work budget: each rank tried costs a
     step.  At (3, 1000, 5000, 0) the root costs 5,000 steps, and the chain
     to (1, 1) its 4,999 ranks and the 5,001 heights of the polygon it
     closes, so a budget of 10,000 is passed at exactly 15,000.  The walk
-    and the message read the one name ``algebra.WORK_BUDGET``."""
-    import frobstrat.algebra as algebra
+    and the message read the one name ``algebra.WORK_BUDGET``.  The walk
+    runs in a child capped at 1 GiB, so one whose memory outgrows its
+    steps fails here instead of taking the machine's memory."""
+    code = """
+import frobstrat.algebra as algebra
+from frobstrat.errors import InvalidParameters
+from frobstrat.polygons import enumerate_frobenius_polygons
 
-    monkeypatch.setattr(algebra, "WORK_BUDGET", 10_000)
-    with pytest.raises(InvalidParameters, match="takes at least 15000 steps") as err:
-        enumerate_frobenius_polygons(3, 1000, 5000, 0)
-    assert "work budget of 10000 steps" in str(err.value)
+algebra.WORK_BUDGET = 10_000
+try:
+    enumerate_frobenius_polygons(3, 1000, 5000, 0)
+except InvalidParameters as err:
+    print(err)
+"""
+    proc = _run_capped(child_env, "-c", code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "takes at least 15000 steps" in proc.stdout
+    assert "work budget of 10000 steps" in proc.stdout
 
 
-def _frame_depth() -> int:
+def test_a_deep_polygon_walk_is_refused_at_its_budget(child_env):
+    """At (13, 2, 1000, 3) the walk builds polygons of 43 segments before a
+    budget of 120,000 refuses it at exactly 120,468 steps.  It does so with
+    only 25 interpreter frames to spare, where a walk recursing once per
+    segment would raise ``RecursionError``.  Like the wide walk, it runs
+    in a child capped at 1 GiB."""
+    code = """
+import sys
+import frobstrat.algebra as algebra
+import frobstrat.polygons as polygons
+from frobstrat.errors import InvalidParameters
+
+longest, make_polygon = 0, polygons.make_polygon
+
+def make_and_measure(vertices):
+    global longest
+    longest = max(longest, len(vertices))
+    return make_polygon(vertices)
+
+def frame_depth():
     frame, depth = sys._getframe(1), 0
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
 
-
-def test_a_deep_polygon_walk_is_refused_at_its_budget(monkeypatch):
-    """At (13, 2, 1000, 3) the walk builds polygons of 43 segments before a
-    budget of 120,000 refuses it at exactly 120,468 steps.  It does so with
-    only 25 interpreter frames to spare, where a walk recursing once per
-    segment would raise ``RecursionError``."""
-    import frobstrat.algebra as algebra
-    import frobstrat.polygons as polygons
-
-    longest = 0
-
-    def make_and_measure(vertices):
-        nonlocal longest
-        longest = max(longest, len(vertices))
-        return make_polygon(vertices)
-
-    monkeypatch.setattr(algebra, "WORK_BUDGET", 120_000)
-    monkeypatch.setattr(polygons, "make_polygon", make_and_measure)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 25)
-    try:
-        with pytest.raises(InvalidParameters, match="takes at least 120468 steps"):
-            enumerate_frobenius_polygons(13, 2, 1000, 3)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert longest == 44
+algebra.WORK_BUDGET = 120_000
+polygons.make_polygon = make_and_measure
+sys.setrecursionlimit(frame_depth() + 25)
+try:
+    polygons.enumerate_frobenius_polygons(13, 2, 1000, 3)
+except InvalidParameters as err:
+    print(err)
+print(longest)
+"""
+    proc = _run_capped(child_env, "-c", code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    message, longest = proc.stdout.splitlines()
+    assert "takes at least 120468 steps" in message
+    assert longest == "44"
 
 
 def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
