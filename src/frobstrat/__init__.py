@@ -76,7 +76,6 @@ _EXPORTS = {
         "satisfies_spread_bound",
         "slope_gaps",
         "slopes",
-        "vertex_lists",
     ),
     "strata": (
         "CurveContext",

@@ -2,11 +2,14 @@
 
 Every command is a thin adapter over the library: no arithmetic lives
 here.  The membership claims of ``verify-claims``, for one, are defined
-and checked by :func:`frobstrat.local_frobenius.verify_claims`.  JSON
-output is minified with sorted keys and TSV uses bare tab and newline
-separators, so both formats are byte-stable for a fixed command line.
-Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an internal
-invariant violation or a failed claim.
+and checked by :func:`frobstrat.local_frobenius.verify_claims`.  A
+command's JSON payload holds the library's own values, not copies, and
+its TSV lines are an iterable that :func:`main` reads only under
+``--format tsv``; rendering them only formats strings and must not raise.
+JSON output is minified with sorted keys and TSV uses bare tab and
+newline separators, so both formats are byte-stable for a fixed command
+line.  Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an
+internal invariant violation or a failed claim.
 
 Each command's handler imports the layers it uses when it runs, so one
 call loads and compiles only what its own command needs.  A call builds
@@ -93,18 +96,16 @@ def _opt(value) -> str:
 
 
 def _cmd_polygons(args):
-    from .polygons import enumerate_frobenius_polygons, vertex_lists
+    from .polygons import enumerate_frobenius_polygons
 
     polys = enumerate_frobenius_polygons(args.p, args.g, args.r, args.d)
-    payload = [vertex_lists(pg) for pg in polys]
-    lines = [_fmt_vertices(pg) for pg in polys]
-    return payload, lines, 0
+    return [pg.vertices for pg in polys], map(_fmt_vertices, polys), 0
 
 
 def _cmd_classify(args):
     from .local_frobenius import FiberPoint, LocalContext
     from .local_frobenius import colength_profile, fiber_polygon
-    from .polygons import reference_label, vertex_lists
+    from .polygons import reference_label
 
     lambdas = _parse_lambdas(args.lambdas)
     ctx = LocalContext.default(args.p)
@@ -120,7 +121,7 @@ def _cmd_classify(args):
     payload = {
         "colengths": colengths,
         "polygon_id": label,
-        "vertices": vertex_lists(polygon),
+        "vertices": polygon.vertices,
     }
     if profile.extrapolated:
         payload["extrapolated"] = True
@@ -175,12 +176,12 @@ def _cmd_strata_table(args):
 
 
 def _cmd_canonical_polygon(args):
-    from .polygons import canonical_polygon, canonical_stratum_dim, vertex_lists
+    from .polygons import canonical_polygon, canonical_stratum_dim
 
     polygon = canonical_polygon(args.p, args.g, args.r, args.d)
     dim = canonical_stratum_dim(args.r, args.g)
-    payload = {"stratum_dim": dim, "vertices": vertex_lists(polygon)}
-    return payload, [f"{_fmt_vertices(polygon)}\t{dim}"], 0
+    payload = {"stratum_dim": dim, "vertices": polygon.vertices}
+    return payload, (f"{_fmt_vertices(pg)}\t{dim}" for pg in (polygon,)), 0
 
 
 def _cmd_verify_claims(args):
@@ -199,7 +200,9 @@ def _cmd_verify_claims(args):
 
 #: Command name -> (help line, flags it reads besides ``--format``, handler).
 #: A handler takes the parsed arguments, imports the layers it uses and
-#: returns the JSON payload, the TSV lines and the exit code.
+#: returns the JSON payload, the TSV lines and the exit code.  The lines
+#: are read after ``main``'s ``try``, so a lazy iterable of them may only
+#: format strings: it must not call anything that can raise a FrobstratError.
 COMMANDS = {
     "polygons": (
         "enumerate all destabilized pull-back polygons",

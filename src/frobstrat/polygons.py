@@ -424,11 +424,6 @@ def is_canonical(pg: LatticePolygon, p: int, g: int) -> bool:
     return n == (p - 1) * (2 * g - 2) * d
 
 
-def vertex_lists(pg: LatticePolygon) -> list[list[int]]:
-    """JSON-ready vertices: a list of [rank, degree] pairs, rank ascending."""
-    return [[a, b] for a, b in pg.vertices]
-
-
 #: The reference configuration (p, g, r, d, line degree): the one case the
 #: stratification theorem covers, the CLI's defaults, and the only point
 #: where the stratum catalogue and the degree bookkeeping are established.

@@ -40,7 +40,6 @@ from .polygons import (
     reference_label,
     satisfies_gap_bound,
     satisfies_spread_bound,
-    vertex_lists,
 )
 from .record import Record
 
@@ -109,7 +108,7 @@ class StratumReport(Record):
     def as_json_dict(self) -> dict:
         return {
             "polygon_id": self.polygon_id,
-            "vertices": vertex_lists(self.polygon),
+            "vertices": [list(v) for v in self.polygon.vertices],
             "fiber_dim": self.fiber_dim,
             "quot_dim": self.quot_dim,
             "moduli_dim": self.moduli_dim,

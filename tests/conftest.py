@@ -34,3 +34,27 @@ def _run_capped(env, *args, timeout=60):
         preexec_fn=limit,
         timeout=timeout,
     )
+
+
+def _run_main_capped(env, argv, timeout=60):
+    """``frobstrat.cli.main(argv)`` in a child capped as in :func:`_run_capped`.
+
+    Returns the exit code, the stdout and the child's peak RSS in MiB, which
+    the child prints as the last line of its stderr once ``main`` has
+    returned; that line is stripped here.  The peak is ``VmHWM``, the high
+    water mark of the child's own address space: ``getrusage``'s
+    ``ru_maxrss`` would also count the test process it was forked from,
+    as Linux carries that mark across ``exec``.
+    """
+    code = (
+        "import sys\n"
+        "from frobstrat.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(*[l.split()[1] for l in status if l.startswith('VmHWM:')], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _run_capped(env, "-c", code, timeout=timeout)
+    hwm_kib = (proc.stderr.splitlines() or [""])[-1]
+    assert hwm_kib.isdigit(), proc.stderr
+    return proc.returncode, proc.stdout, int(hwm_kib) / 1024

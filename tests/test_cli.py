@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import _run_capped
+from conftest import _run_capped, _run_main_capped
 import frobstrat.cli as cli
 from frobstrat.cli import COMMANDS, command_parser, main
 
@@ -773,12 +774,69 @@ def test_polygons_at_the_top_ladder_rung_is_within_budget(child_env):
     assert len(proc.stdout.splitlines()) == 5766
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_polygons_at_p13_rank8_is_within_budget(child_env):
-    """(13, 3, 8, 0) runs, in about 2 s and 48 MiB."""
-    argv = ("-m", "frobstrat", "polygons", "-p", "13", "-g", "3", "-r", "8", "-d", "0")
-    proc = _run_capped(child_env, *argv, "--format", "tsv", timeout=30)
-    assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 29426
+    """(13, 3, 8, 0) runs in about 0.9 s and 26-28 MiB in either format:
+    the payload holds the polygons' own vertex tuples and only the printed
+    format is rendered."""
+    argv = ["polygons", "-p", "13", "-g", "3", "-r", "8", "-d", "0", "--format"]
+    recorded = {
+        "json": "5f38185e83fd64c93fe2759c593c5aaf7d9c0880c74c762bf9b821e25f2722b0",
+        "tsv": "750c8014175462836f4a12597048e452552322345b2e465f02d86676d66283c5",
+    }
+    for fmt, sha in recorded.items():
+        code, out, peak_mib = _run_main_capped(child_env, [*argv, fmt], timeout=30)
+        assert code == 0
+        assert _sha256(out) == sha
+        assert peak_mib <= 37, f"{fmt}: {peak_mib:.1f} MiB"
+    assert len(out.splitlines()) == 29426  # the TSV, run last
+
+
+@pytest.mark.parametrize(
+    "fmt, size, sha, peak_bound",
+    [
+        ("json", 22552792, "ce58e5a6a7847f4f0d12e4d37bc2e244a3c348f86b6955c6141b10298f8f4da4", 280),
+        ("tsv", 20552795, "09d4ca1fab72a0343cae14576c62c51dc753fc0ab352d15c75418a8e02fc22e8", None),
+    ],
+    ids=["json", "tsv"],
+)
+def test_canonical_polygon_at_the_largest_admitted_p(child_env, fmt, size, sha, peak_bound):
+    """p = 999983, the largest prime whose p + 1 vertices the budget admits,
+    runs in about 1.1 s and 210 MiB (JSON) or 264 MiB (TSV)."""
+    argv = ["canonical-polygon", "-p", "999983", "--format", fmt]
+    code, out, peak_mib = _run_main_capped(child_env, argv, timeout=60)
+    assert code == 0
+    assert (len(out.encode()), _sha256(out)) == (size, sha)
+    if peak_bound is not None:
+        assert peak_mib <= peak_bound, f"{peak_mib:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (["polygons"], "[[[0,0],[2,1],[3,0]],[[0,0],[1,1],[3,0]],"
+         "[[0,0],[1,1],[2,1],[3,0]],[[0,0],[1,2],[2,2],[3,0]]]\n"),
+        (["canonical-polygon"], '{"stratum_dim":10,"vertices":[[0,0],[3,6],[6,6],[9,0]]}\n'),
+    ],
+    ids=["polygons", "canonical-polygon"],
+)
+def test_tsv_lines_are_rendered_only_under_tsv(capsys, monkeypatch, argv, recorded):
+    """JSON output never renders a TSV line, and under ``--format tsv`` the
+    renderer runs after the handler returns."""
+
+    class Rendered(Exception):
+        pass
+
+    def render(pg):
+        raise Rendered
+
+    monkeypatch.setattr(cli, "_fmt_vertices", render)
+    assert run_cli(capsys, [*argv, "--format", "json"])[:2] == (0, recorded)
+    with pytest.raises(Rendered):
+        main([*argv, "--format", "tsv"])
 
 
 def test_huge_p_is_refused_by_the_primality_bound(child_env):
