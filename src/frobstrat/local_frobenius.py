@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import warnings
 from itertools import product
-from math import comb
 
 from . import algebra
 from .algebra import (
@@ -218,18 +217,23 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     exponent k is below p <= precision/2, so nothing is truncated; and
     C(m, k) is prime to p, so no term vanishes.
     :func:`element_from_monomials` is the general path it is checked
-    against.  Its binomials have up to m bits, so the time grows as m^3:
-    refused when (m + 1)^2 exceeds :data:`~frobstrat.algebra.WORK_BUDGET`.
+    against.  The coefficients are built mod p by the rolling product
+    c_k = c_(k-1)*(k - 1 - m)/k, so every value stays below p; k <= m < p
+    keeps each inverse defined.  Refused before any term is built when the
+    m + 1 terms exceed :data:`~frobstrat.algebra.WORK_BUDGET`.
     """
     if type(m) is not int:
         m = _checked_int(m)
     p = ctx.p
     if not 0 <= m <= p - 1:
         raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
-    if (m + 1) * (m + 1) > algebra.WORK_BUDGET:
-        raise _over_budget(f"tau^{m} takes about", (m + 1) ** 2, "bit steps")
-    terms = tuple([(k, m - k, (-1) ** k * comb(m, k) % p) for k in range(m + 1)])
-    return PullbackElement._from_terms(terms, ctx.precision, p)
+    if m + 1 > algebra.WORK_BUDGET:
+        raise _over_budget(f"tau^{m} has", m + 1, "terms")
+    terms, c = [(0, m, 1)], 1
+    for k in range(1, m + 1):
+        c = c * (k - 1 - m) * pow(k, -1, p) % p
+        terms.append((k, m - k, c))
+    return PullbackElement._from_terms(tuple(terms), ctx.precision, p)
 
 
 def right_multiply(element: PullbackElement, j: int) -> PullbackElement:

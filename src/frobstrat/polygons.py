@@ -18,11 +18,12 @@ raw chain, collinear points included) and its strict convexity; the
 public constructor and :func:`make_polygon` share it, and the polygon is
 then built by a trusted constructor that checks nothing again.  The walk
 keeps each slope as an integer pair (num, den > 0) and each degree window
-as floor divisions, pruned to the chains that can still close, and sorts
-its polygons by one exact int per polygon read off their heights, whose
-integral values are built from ints.  A vertex pair that is already a
-tuple of two exact ints is kept, not copied, so the walk's polygons share
-their pairs with its chain.
+as floor divisions, pruned to the chains that can still close within both
+the spread and the slope drops still to come.  It sorts its polygons by
+one exact int per polygon read off their heights, whose integral values
+are built from ints.  A vertex pair that is already a tuple of two exact
+ints is kept, not copied, so the walk's polygons share their pairs with
+its chain.
 """
 
 from __future__ import annotations
@@ -295,9 +296,17 @@ def enumerate_frobenius_polygons(
     slope pn/pd.  Each window is cut to the chains that can still close:
     the new segment rises above the chord from its start to (r, p*d), and
     the chord from its end to (r, p*d) is at least the first slope minus
-    the spread.  The segment reaching x = r has its degree fixed by the
-    endpoint and is kept when its slope meets the same bounds, compared by
-    cross-multiplication.  The walk is exhaustive by construction, and
+    the spread and at least dy/rk - gap*(rest + 1)/2, where the new segment
+    has run rk and rise dy and leaves rest = r - x - rk ranks to fill.  The
+    last bound caps the rise at rk*(sn + gap*rest*(rest + 1)/2) // sd, for
+    a chord of rise sn and run sd from the segment's start to (r, p*d).
+    Proof: the i-th of the at most rest segments after the new vertex has
+    slope at least dy/rk - i*gap, and their runs n_i >= 1 sum to rest, so
+    sum(i*n_i) <= rest*(rest + 1)/2.  At rest = 1 it is the drop bound of
+    the closing segment, so every chain visited at x = r - 1 closes.  The
+    segment reaching x = r has its degree fixed by the endpoint and is kept
+    when its slope meets the same bounds, compared by cross-multiplication.
+    Every cut is a necessary condition, so the walk is exhaustive, and
     strictly decreasing slopes make each chain canonical and reached once.
     Each polygon holds the walk's vertex pairs, not copies, and the one
     endpoint pair of the call.  Returns a tuple of pairwise distinct
@@ -306,7 +315,7 @@ def enumerate_frobenius_polygons(
     digits of one int.  Refused once the walk takes more steps than
     :data:`~frobstrat.algebra.WORK_BUDGET`, counting r - x for each chain
     visited at (x, y) (its closing segment and each rank it tries) and
-    r + 1 for each polygon kept: (11, 3, 7, 0) takes 80,722.
+    r + 1 for each polygon kept: (11, 3, 7, 0) takes 57,408.
     """
     require_prime(p)
     g = _checked_int(g, "genus", 2)
@@ -350,6 +359,14 @@ def enumerate_frobenius_polygons(
             else:  # and ceil(rk*least/pd) to ceil(rk*pn/pd) - 1
                 lo = max(lo, -(-rk * least // pd))
                 hi = min((rk * pn - 1) // pd, sn + (spread * fd - fn) * rest // fd)
+            # Leave a chord to the end no lower than dy/rk - gap*(rest + 1)/2:
+            # the i-th of the at most ``rest`` segments after the new vertex
+            # has slope >= dy/rk - i*gap, and their runs n_i >= 1 sum to rest,
+            # so sum(i*n_i) <= rest*(rest + 1)/2 and the rise sn - dy is at
+            # least rest*dy/rk - gap*rest*(rest + 1)/2.  At rest = 1 this is
+            # the closing test's drop bound, so every chain visited at
+            # x = r - 1 closes.
+            hi = min(hi, rk * (sn + gap * rest * (rest + 1) // 2) // sd)
             for dy in range(lo, hi + 1):
                 verts.append((x + rk, y + dy))
                 # A pair is never falsy, so a first slope of 0 stays first.

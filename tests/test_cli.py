@@ -767,7 +767,7 @@ except InvalidParameters as err:
 
 
 def test_polygons_at_the_top_ladder_rung_is_within_budget(child_env):
-    """(11, 3, 7, 0), the benchmark's largest rung, takes 80,722 steps."""
+    """(11, 3, 7, 0), the benchmark's largest rung, takes 57,408 steps."""
     argv = ("-m", "frobstrat", "polygons", "-p", "11", "-g", "3", "-r", "7", "-d", "0")
     proc = _run_capped(child_env, *argv, "--format", "tsv")
     assert proc.returncode == 0, proc.stderr

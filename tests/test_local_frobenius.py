@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import frobstrat.local_frobenius as lf
+from conftest import _run_capped
 from frobstrat.algebra import FpMatrix, TruncSeries, matrix_rank
 from frobstrat.errors import (
     ExtrapolationWarning,
@@ -477,14 +478,21 @@ def test_large_precision_keeps_elements_sparse():
         right_multiply(top, n - 2)
 
 
-def test_work_budget_gates_fall_where_documented():
-    """tau^m runs up to m = 999 and is refused from m = 1000; a level-1
-    colength runs at p = 113 and is refused at p = 127; the dense grid runs
-    at p = 577 and default precision, 998,787 cells, and not at p = 587."""
-    ctx = LocalContext.default(1009)
-    assert len(tau_power(ctx, 999).terms) == 1000
-    with pytest.raises(InvalidParameters, match="1002001 bit steps"):
-        tau_power(ctx, 1000)
+def test_work_budget_gates_fall_where_documented(child_env):
+    """tau^m runs up to m = 999,999 and is refused from m = 1,000,000, its
+    m + 1 terms counted before any is built; a level-1 colength runs at
+    p = 113 and is refused at p = 127; the dense grid runs at p = 577 and
+    default precision, 998,787 cells, and not at p = 587.  The largest
+    tau^m builds a million terms, so it runs in a child capped at 1 GiB."""
+    code = (
+        "from frobstrat.local_frobenius import LocalContext, tau_power\n"
+        "print(len(tau_power(LocalContext.default(1000003), 999999).terms))\n"
+    )
+    proc = _run_capped(child_env, "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1000000\n"
+    with pytest.raises(InvalidParameters, match="1000001 terms"):
+        tau_power(LocalContext.default(1000003), 1000000)
     assert colength(LocalContext.default(113), FiberPoint([1] * 113, 113), 1) == 113
     with pytest.raises(InvalidParameters, match="1032129 tau monomials"):
         colength(LocalContext.default(127), FiberPoint([1] * 127, 127), 1)

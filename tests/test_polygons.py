@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import itertools
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -345,31 +344,81 @@ print(longest)
     assert longest == "44"
 
 
+#: Exact steps and polygons of each ladder rung: (11, 3, 7, 0) visits
+#: 6,963 chains, 35 of which lead to no polygon.
+LADDER_STEPS = {
+    (3, 2, 3, 0): (26, 4),
+    (5, 3, 5, 0): (1871, 236),
+    (7, 3, 6, 1): (10_316, 1153),
+    (5, 4, 6, 1): (43_931, 5081),
+    (11, 3, 7, 0): (57_408, 5766),
+}
+
+
 def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
-    """(11, 3, 7, 0) takes exactly 80,722 steps: r - x for each chain the
-    walk visits at (x, y), and r + 1 for each of the 5,766 polygons kept."""
+    """(11, 3, 7, 0) takes exactly 57,408 steps: r - x for each chain the
+    walk visits at (x, y), and r + 1 for each of the 5,766 polygons kept.
+    Every other ladder rung is pinned to its exact steps as well."""
     import frobstrat.algebra as algebra
 
-    monkeypatch.setattr(algebra, "WORK_BUDGET", 80_721)
-    with pytest.raises(InvalidParameters, match="at least 80722 steps"):
-        enumerate_frobenius_polygons(11, 3, 7, 0)
-    monkeypatch.setattr(algebra, "WORK_BUDGET", 80_722)
-    assert len(enumerate_frobenius_polygons(11, 3, 7, 0)) == 5766
+    assert set(LADDER_STEPS) == set(LADDER)
+    for rung, (steps, count) in LADDER_STEPS.items():
+        monkeypatch.setattr(algebra, "WORK_BUDGET", steps - 1)
+        with pytest.raises(InvalidParameters, match=f"at least {steps} steps"):
+            enumerate_frobenius_polygons(*rung)
+        monkeypatch.setattr(algebra, "WORK_BUDGET", steps)
+        assert len(enumerate_frobenius_polygons(*rung)) == count
 
 
-def test_the_sort_keys_add_little_to_the_walks_memory():
-    """At (5, 4, 6, 1) the call's ``tracemalloc`` peak is at most 1.5 times
-    the memory left allocated when it returns (1.16 times): the sort key is
-    one int per polygon.  A tuple of r + 1 scaled ints per polygon peaks at
-    1.95 times, and the tuple of ``integer_heights`` itself at 3.36 times."""
-    enumerate_frobenius_polygons(2, 2, 3, 0)  # import and first-call costs
-    tracemalloc.start()
-    try:
-        result = enumerate_frobenius_polygons(5, 4, 6, 1)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(result) == 5081 and peak <= 1.5 * current
+@pytest.mark.parametrize(
+    "rung", [*LADDER, (7, 2, 10, 1)], ids=lambda rung: ",".join(map(str, rung))
+)
+def test_the_walk_at_minus_d_is_the_dual_of_the_walk_at_d(rung):
+    """Duals keep every slope drop and the spread and end at (r, -p*d), so
+    the walk at -d lists exactly the duals of the walk at d.  Its windows
+    prune other branches, so this checks the pruning without an oracle."""
+    p, g, r, d = rung
+    walk = enumerate_frobenius_polygons(p, g, r, d)
+    dual_walk = enumerate_frobenius_polygons(p, g, r, -d)
+    assert len(walk) == len(dual_walk)
+    assert {dual_polygon(pg) for pg in walk} == set(dual_walk)
+
+
+def test_the_walk_at_p13_rank8_is_self_dual(child_env):
+    """The duality above at (13, 3, 8, 0), whose 29,426 polygons take the
+    walk 322,410 steps; it runs in a child capped at 1 GiB."""
+    code = """
+from frobstrat.polygons import dual_polygon, enumerate_frobenius_polygons
+
+walk = enumerate_frobenius_polygons(13, 3, 8, 0)
+print(len(walk), {dual_polygon(pg) for pg in walk} == set(walk))
+"""
+    proc = _run_capped(child_env, "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "29426 True\n"
+
+
+def test_the_sort_keys_add_little_to_the_walks_memory(child_env):
+    """At (5, 4, 6, 1) the call's ``tracemalloc`` peak exceeds the memory
+    left allocated when it returns by at most 100 bytes per polygon (48.4):
+    the sort key is one int per polygon.  A tuple of r + 1 scaled ints per
+    polygon takes 257 bytes, and the tuple of ``integer_heights`` itself
+    407.  It is measured in a fresh child, so no earlier test's caches or
+    garbage move it."""
+    code = """
+import tracemalloc
+from frobstrat.polygons import enumerate_frobenius_polygons
+
+enumerate_frobenius_polygons(2, 2, 3, 0)  # import and first-call costs
+tracemalloc.start()
+result = enumerate_frobenius_polygons(5, 4, 6, 1)
+current, peak = tracemalloc.get_traced_memory()
+print(len(result), (peak - current) / len(result))
+"""
+    proc = _run_capped(child_env, "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, per_polygon = proc.stdout.split()
+    assert count == "5081" and float(per_polygon) <= 100, per_polygon
 
 
 def test_a_walk_leaves_no_garbage_for_the_cycle_collector(monkeypatch):
