@@ -3,13 +3,14 @@
 Every command is a thin adapter over the library: no arithmetic lives
 here.  The membership claims of ``verify-claims``, for one, are defined
 and checked by :func:`frobstrat.local_frobenius.verify_claims`.  A
-command's JSON payload holds the library's own values, not copies, and
-its TSV lines are an iterable that :func:`main` reads only under
-``--format tsv``; rendering them only formats strings and must not raise.
-JSON output is minified with sorted keys and TSV uses bare tab and
-newline separators, so both formats are byte-stable for a fixed command
-line.  Exit codes: 0 on success, 1 on bad flags or parameters, 2 on an
-internal invariant violation or a failed claim.
+command's JSON payload and its TSV rows hold the library's own values,
+not copies or strings, and only :func:`main` formats them: the payload
+with :mod:`json`, each TSV cell with :func:`_cell`, which it calls only
+under ``--format tsv``.  JSON output is minified with sorted keys and
+TSV uses bare tab and newline separators, so both formats are
+byte-stable for a fixed command line.  Exit codes: 0 on success, 1 on
+bad flags or parameters or when stdout is closed early, 2 on an internal
+invariant violation or a failed claim.
 
 Each command's handler imports the layers it uses when it runs, so one
 call loads and compiles only what its own command needs.  A call builds
@@ -20,6 +21,7 @@ command; ``json`` is imported only to print JSON.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -87,19 +89,11 @@ def _parse_lambdas(raw: str) -> tuple[int, ...]:
         ) from None
 
 
-def _fmt_vertices(pg) -> str:
-    return ";".join(f"{a},{b}" for a, b in pg.vertices)
-
-
-def _opt(value) -> str:
-    return "-" if value is None else str(value)
-
-
 def _cmd_polygons(args):
     from .polygons import enumerate_frobenius_polygons
 
     polys = enumerate_frobenius_polygons(args.p, args.g, args.r, args.d)
-    return [pg.vertices for pg in polys], map(_fmt_vertices, polys), 0
+    return [pg.vertices for pg in polys], ((pg.vertices,) for pg in polys), 0
 
 
 def _cmd_classify(args):
@@ -115,19 +109,11 @@ def _cmd_classify(args):
         warnings.simplefilter("ignore", ExtrapolationWarning)
         polygon = fiber_polygon(ctx, point, args.g, args.deg_line)
     label = None if profile.extrapolated else reference_label(polygon)
-    colengths = {
-        f"E{lv}": profile.colengths[lv] for lv in sorted(profile.colengths)
-    }
-    payload = {
-        "colengths": colengths,
-        "polygon_id": label,
-        "vertices": polygon.vertices,
-    }
+    colengths = {f"E{lv}": c for lv, c in sorted(profile.colengths.items())}
+    payload = {"colengths": colengths, "polygon_id": label, "vertices": polygon.vertices}
     if profile.extrapolated:
         payload["extrapolated"] = True
-    cols = [_opt(label), _fmt_vertices(polygon)]
-    cols += [str(profile.colengths[lv]) for lv in sorted(profile.colengths)]
-    return payload, ["\t".join(cols)], 0
+    return payload, [(label, polygon.vertices, *colengths.values())], 0
 
 
 def _cmd_fiber_census(args):
@@ -136,43 +122,33 @@ def _cmd_fiber_census(args):
 
     census = fiber_census(*REFERENCE_PARAMETERS)
     payload = {f: getattr(census, f) for f in census._fields}
-    lines = [
-        f"{label}\t{census.strict_counts[label]}\t{census.strict_forms[label]}"
+    rows = [
+        (label, census.strict_counts[label], census.strict_forms[label])
         for label in sorted(census.strict_counts)
     ]
-    lines += [
-        f"{label}\t{census.closed_counts[label]}\t{census.closed_forms[label]}"
+    rows += [
+        (label, census.closed_counts[label], census.closed_forms[label])
         for label in sorted(census.closed_counts)
     ]
-    return payload, lines, 0
+    return payload, rows, 0
 
 
 def _cmd_strata_table(args):
     from .strata import CurveContext, stratum_table
 
     reports = stratum_table(CurveContext())
-    payload = [report.as_json_dict() for report in reports]
-    lines = []
-    for report in reports:
-        counts = report.counts or {}
-        count_at_q = next(
-            (v for k, v in counts.items() if k.startswith("q=")), None
-        )
-        lines.append(
-            "\t".join(
-                [
-                    report.polygon_id,
-                    _fmt_vertices(report.polygon),
-                    _opt(report.fiber_dim),
-                    _opt(report.quot_dim),
-                    str(report.moduli_dim),
-                    _opt(count_at_q),
-                    _opt(counts.get("closed_form")),
-                    report.closure,
-                ]
-            )
-        )
-    return payload, lines, 0
+    payload = [
+        {f: getattr(r, f) for f in r._fields if f != "polygon"}
+        | {"vertices": r.polygon.vertices}
+        for r in reports
+    ]
+    rows = []
+    for r in reports:
+        counts = r.counts or {}
+        at_q = next((v for k, v in counts.items() if k.startswith("q=")), None)
+        rows.append((r.polygon_id, r.polygon.vertices, r.fiber_dim, r.quot_dim,
+                     r.moduli_dim, at_q, counts.get("closed_form"), r.closure))
+    return payload, rows, 0
 
 
 def _cmd_canonical_polygon(args):
@@ -181,7 +157,7 @@ def _cmd_canonical_polygon(args):
     polygon = canonical_polygon(args.p, args.g, args.r, args.d)
     dim = canonical_stratum_dim(args.r, args.g)
     payload = {"stratum_dim": dim, "vertices": polygon.vertices}
-    return payload, (f"{_fmt_vertices(pg)}\t{dim}" for pg in (polygon,)), 0
+    return payload, [(polygon.vertices, dim)], 0
 
 
 def _cmd_verify_claims(args):
@@ -194,15 +170,15 @@ def _cmd_verify_claims(args):
         for claim, passed, total in verify_claims(args.p)
     ]
     payload = [dict(zip(("claim", "status", "passed", "total"), row)) for row in rows]
-    lines = ["\t".join(map(str, row)) for row in rows]
-    return payload, lines, 2 if any(row[1] == "fail" for row in rows) else 0
+    return payload, rows, 2 if any(row[1] == "fail" for row in rows) else 0
 
 
 #: Command name -> (help line, flags it reads besides ``--format``, handler).
 #: A handler takes the parsed arguments, imports the layers it uses and
-#: returns the JSON payload, the TSV lines and the exit code.  The lines
-#: are read after ``main``'s ``try``, so a lazy iterable of them may only
-#: format strings: it must not call anything that can raise a FrobstratError.
+#: returns the JSON payload, the TSV rows and the exit code.  Payload and
+#: rows hold library values; a row is a tuple of str, int, None or vertex
+#: tuples.  The rows may be lazy, as ``main`` reads them after its ``try``,
+#: but they never format and must not call anything that can raise.
 COMMANDS = {
     "polygons": (
         "enumerate all destabilized pull-back polygons",
@@ -238,6 +214,13 @@ COMMANDS = {
 }
 
 
+def _cell(value) -> str:
+    """One TSV cell: ``a,b;c,d`` for a vertex tuple, ``-`` for None."""
+    if isinstance(value, tuple):
+        return ";".join(f"{a},{b}" for a, b in value)
+    return "-" if value is None else str(value)
+
+
 def main(argv=None) -> int:
     """Parse ``argv`` and run its command; returns the process exit code."""
     argv = sys.argv[1:] if argv is None else argv
@@ -245,7 +228,7 @@ def main(argv=None) -> int:
         _exit_without_command(argv)
     args = command_parser(argv[0]).parse_args(argv[1:])
     try:
-        payload, lines, exit_code = COMMANDS[argv[0]][2](args)
+        payload, rows, exit_code = COMMANDS[argv[0]][2](args)
     except InvariantViolation as exc:
         print(f"frobstrat: internal invariant violated: {exc}", file=sys.stderr)
         return 2
@@ -255,9 +238,16 @@ def main(argv=None) -> int:
     if args.fmt == "json":
         import json
 
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     else:
-        print("\n".join(lines))
+        text = "\n".join("\t".join(map(_cell, row)) for row in rows)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send the exit-time flush to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return exit_code
 
 

@@ -105,17 +105,6 @@ class StratumReport(Record):
     closure: str
     counts: dict | None
 
-    def as_json_dict(self) -> dict:
-        return {
-            "polygon_id": self.polygon_id,
-            "vertices": [list(v) for v in self.polygon.vertices],
-            "fiber_dim": self.fiber_dim,
-            "quot_dim": self.quot_dim,
-            "moduli_dim": self.moduli_dim,
-            "closure": self.closure,
-            "counts": dict(self.counts) if self.counts is not None else None,
-        }
-
 
 def pushforward_type(r: int, d: int, p: int, g: int) -> tuple[int, int]:
     """Rank and degree of the Frobenius direct image of a type (r, d) bundle."""

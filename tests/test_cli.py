@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -124,6 +125,25 @@ def test_strata_table_json(capsys):
     assert rows[0]["counts"] is None
     assert rows[1]["counts"] == {"closed_form": "q^2", "q=3": 9}
     assert rows[3]["quot_dim"] == 3
+
+
+def test_strata_table_json_schema(capsys):
+    """Each row of ``strata-table`` is the report's fields, with the
+    polygon given by its vertices."""
+    code, out, _ = run_cli(capsys, ["strata-table"])
+    assert code == 0
+    keys = {
+        "polygon_id",
+        "vertices",
+        "fiber_dim",
+        "quot_dim",
+        "moduli_dim",
+        "closure",
+        "counts",
+    }
+    for row in json.loads(out):
+        assert set(row) == keys
+        assert row["vertices"][0] == [0, 0]
 
 
 def test_canonical_polygon_json(capsys):
@@ -799,7 +819,7 @@ def test_polygons_at_p13_rank8_is_within_budget(child_env):
     "fmt, size, sha, peak_bound",
     [
         ("json", 22552792, "ce58e5a6a7847f4f0d12e4d37bc2e244a3c348f86b6955c6141b10298f8f4da4", 280),
-        ("tsv", 20552795, "09d4ca1fab72a0343cae14576c62c51dc753fc0ab352d15c75418a8e02fc22e8", None),
+        ("tsv", 20552795, "09d4ca1fab72a0343cae14576c62c51dc753fc0ab352d15c75418a8e02fc22e8", 290),
     ],
     ids=["json", "tsv"],
 )
@@ -810,33 +830,71 @@ def test_canonical_polygon_at_the_largest_admitted_p(child_env, fmt, size, sha, 
     code, out, peak_mib = _run_main_capped(child_env, argv, timeout=60)
     assert code == 0
     assert (len(out.encode()), _sha256(out)) == (size, sha)
-    if peak_bound is not None:
-        assert peak_mib <= peak_bound, f"{peak_mib:.1f} MiB"
+    assert peak_mib <= peak_bound, f"{peak_mib:.1f} MiB"
 
 
 @pytest.mark.parametrize(
     "argv, recorded",
     [
-        (["polygons"], "[[[0,0],[2,1],[3,0]],[[0,0],[1,1],[3,0]],"
-         "[[0,0],[1,1],[2,1],[3,0]],[[0,0],[1,2],[2,2],[3,0]]]\n"),
-        (["canonical-polygon"], '{"stratum_dim":10,"vertices":[[0,0],[3,6],[6,6],[9,0]]}\n'),
+        (["polygons"], "9e399dc5698433cbfa92e038261b5dc0a3407aa6783769f7f65096ecb7c9136a"),
+        (["classify", "--lambda", "1,0,0"],
+         "b22b68071975c5eafa113ed8210f81dfbd0fcfe91cafa98af9cb366f27597201"),
+        (["fiber-census"], "ddfd842786874ac5c25b21d998d1e572dd05be5dcfb510cd0684a29814ac84d6"),
+        (["strata-table"], "50060bbbee06627bc5dbcc5a5e22a1576eddd8175c451a06e9874e84a4490129"),
+        (["canonical-polygon"], "e019d9562f2410718e53501c27b21bfc89eacdbdfc22746cfa76a87c5e2cff61"),
+        (["verify-claims"], "88ab97af07da2ced3506818efdafd64c4ca4aaa3d3de0eb22e4fe9d44c7d4fa5"),
     ],
-    ids=["polygons", "canonical-polygon"],
+    ids=["polygons", "classify", "fiber-census", "strata-table", "canonical-polygon", "verify-claims"],
 )
 def test_tsv_lines_are_rendered_only_under_tsv(capsys, monkeypatch, argv, recorded):
-    """JSON output never renders a TSV line, and under ``--format tsv`` the
-    renderer runs after the handler returns."""
+    """JSON output, whose SHA-256 is recorded, never formats a TSV cell, and
+    under ``--format tsv`` ``main`` formats cells only after the handler
+    has returned."""
+    help_line, flags, handler = COMMANDS[argv[0]]
+    returned = []
 
     class Rendered(Exception):
         pass
 
-    def render(pg):
+    def traced_handler(args):
+        result = handler(args)
+        returned.append(argv[0])
+        return result
+
+    def render(value):
+        assert returned, "a cell was formatted before the handler returned"
         raise Rendered
 
-    monkeypatch.setattr(cli, "_fmt_vertices", render)
-    assert run_cli(capsys, [*argv, "--format", "json"])[:2] == (0, recorded)
+    monkeypatch.setitem(COMMANDS, argv[0], (help_line, flags, traced_handler))
+    monkeypatch.setattr(cli, "_cell", render)
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert (code, _sha256(out)) == (0, recorded)
+    returned.clear()
     with pytest.raises(Rendered):
         main([*argv, "--format", "tsv"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fiber-census"], ["polygons", "-p", "7", "-g", "3", "-r", "6", "-d", "1", "--format", "tsv"]],
+    ids=["fiber-census-json", "polygons-tsv"],
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(child_env, argv):
+    """A reader that has already gone, as in ``frobstrat ... | head -1``:
+    the write fails, and the command exits 1 with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobstrat", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_huge_p_is_refused_by_the_primality_bound(child_env):

@@ -226,23 +226,6 @@ def test_one_violation_names_every_failed_check(monkeypatch):
     assert str(info.value) == f"failed table checks: {names}"
 
 
-def test_stratum_table_json_schema():
-    rows = stratum_table(CurveContext())
-    keys = {
-        "polygon_id",
-        "vertices",
-        "fiber_dim",
-        "quot_dim",
-        "moduli_dim",
-        "closure",
-        "counts",
-    }
-    for row in rows:
-        payload = row.as_json_dict()
-        assert set(payload) == keys
-        assert payload["vertices"][0] == [0, 0]
-
-
 def test_stratum_table_rejects_other_parameters():
     with pytest.raises(InvalidParameters):
         stratum_table(CurveContext(p=5, g=2, r=3, d=0, line_degree=-1))
