@@ -127,7 +127,8 @@ class TruncSeries(Record):
     @classmethod
     def _from_reduced(cls, coeffs, modulus: int) -> TruncSeries:
         """Series on a tuple of ints that already lie in [0, modulus): the
-        checks of the constructor, made inline, without the reduction."""
+        checks of the constructor, made inline, without the reduction.
+        ``phi_image`` holds a copy of this body with the prime check."""
         require_prime(modulus)
         if len(coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
@@ -189,8 +190,8 @@ def matrix_rank(m: FpMatrix) -> int:
     echelon: list[tuple[int, int, list[int]]] = []  # (column, 1/pivot, row)
     for row in m.rows:
         for col, inv, pivot_row in echelon:
-            if row[col]:
-                f = row[col] * inv
+            if f := row[col]:
+                f *= inv
                 row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
         for lead, x in enumerate(row):
             if x:

@@ -21,7 +21,9 @@ monomials with right exponent below p.  The work of the colength path
 therefore grows with the number of terms and not with the precision; the
 dense p × precision grid is built only when ``coeffs`` is read.  Values
 built already reduced come from trusted constructors that make their
-checks inline and write their fields straight into the instance.
+checks inline and write their fields straight into the instance;
+``right_multiply`` and ``phi_image``, the hottest calls, hold a copy of
+their constructor's body with the same checks in place of the call.
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -134,7 +136,8 @@ class PullbackElement(Record):
 
     @classmethod
     def _from_terms(cls, terms, precision: int, modulus: int) -> PullbackElement:
-        """Element on ``terms`` already in sparse normal form."""
+        """Element on ``terms`` already in sparse normal form; ``right_multiply``
+        holds a copy of this body, its check included."""
         require_prime(modulus)
         self = object.__new__(cls)
         attrs = self.__dict__
@@ -229,9 +232,12 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
         raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
     if m + 1 > algebra.WORK_BUDGET:
         raise _over_budget(f"tau^{m} has", m + 1, "terms")
+    inv = [0, 1]  # inv[k] = 1/k mod p, from p = (p // k) k + p % k
+    for k in range(2, m + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
     terms, c = [(0, m, 1)], 1
     for k in range(1, m + 1):
-        c = c * (k - 1 - m) * pow(k, -1, p) % p
+        c = c * (k - 1 - m) * inv[k] % p
         terms.append((k, m - k, c))
     return PullbackElement._from_terms(tuple(terms), ctx.precision, p)
 
@@ -249,14 +255,18 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
         raise InvalidParameters(f"shift must be nonnegative, got {j}")
     if j == 0:
         return element
-    terms, n = element.terms, element.precision
+    terms, n, p = element.terms, element.precision, element.modulus
     if terms and terms[-1][0] + j >= n:
         raise PrecisionExhausted(
             f"shift by {j} overflows precision {n}; rebuild the context "
             "with a larger precision"
         )
-    shifted = tuple([(right + j, left, c) for right, left, c in terms])
-    return PullbackElement._from_terms(shifted, n, element.modulus)
+    require_prime(p)  # PullbackElement._from_terms in place
+    shifted = object.__new__(PullbackElement)
+    attrs = shifted.__dict__
+    attrs["terms"] = tuple([(right + j, left, c) for right, left, c in terms])
+    attrs["precision"], attrs["modulus"] = n, p
+    return shifted
 
 
 def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
@@ -276,8 +286,12 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
     for right, left, c in element.terms:  # sorted by right exponent
         if right >= p:
             break
-        coeffs[right] += lams[left] * c
-    return TruncSeries._from_reduced(tuple([c % p for c in coeffs]), p)
+        coeffs[right] = (coeffs[right] + lams[left] * c) % p
+    require_prime(p)  # TruncSeries._from_reduced in place; p >= 2 coefficients, never empty
+    image = object.__new__(TruncSeries)
+    attrs = image.__dict__
+    attrs["coeffs"], attrs["modulus"] = tuple(coeffs), p
+    return image
 
 
 def submodule_contains(element: PullbackElement, point: FiberPoint) -> bool:
@@ -343,12 +357,13 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     monomials = p * (p * (p + 1) - level * (level + 1)) // 2
     if monomials > algebra.WORK_BUDGET:
         raise _over_budget(f"colength at p = {p} shifts", monomials, "tau monomials")
-    rows = []
-    for m in range(level, p):
-        base = tau_power(ctx, m)
-        for j in range(p):
-            rows.append(phi_image(right_multiply(base, j), point).coeffs)
-    return matrix_rank(FpMatrix._from_reduced(tuple(rows), p))
+    rows = tuple([
+        phi_image(right_multiply(base, j), point).coeffs
+        for m in range(level, p)
+        for base in [tau_power(ctx, m)]
+        for j in range(p)
+    ])
+    return matrix_rank(FpMatrix._from_reduced(rows, p))
 
 
 class ColengthProfile(Record):

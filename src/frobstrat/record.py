@@ -20,7 +20,8 @@ class Record:
     trusted classmethod constructor, ``_from_terms``, ``_from_reduced`` or
     ``_from_canonical``: it takes fields already in normal form, makes
     inline the checks its callers have not made, and sets the fields
-    without the generic binding.
+    without the generic binding.  ``local_frobenius.right_multiply`` and
+    ``phi_image`` hold a copy of that body, checks and all, in place of the call.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

@@ -428,12 +428,12 @@ def test_sparse_elements_match_dense_oracle(p):
                 assert phi_image(got, point).coeffs == dense_phi_image(want, point)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_trusted_constructors_match_the_normalising_ones(p, monkeypatch):
     """Every tau power, every shift of it that does not overflow, every
-    image at every point (a b-stratified sample at p = 7) and every colength
-    matrix equals the value ``__init__`` builds from the same fields, with
-    equal hash and repr."""
+    image at every point (a b-stratified sample from p = 7 on) and every
+    colength matrix equals the value ``__init__`` builds from the same
+    fields, with equal hash and repr."""
     ctx = LocalContext.default(p)
     points = fiber_points(p) if p <= 5 else _stratified_points(p, 3, p)
 
