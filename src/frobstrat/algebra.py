@@ -128,7 +128,7 @@ class TruncSeries(Record):
     def _from_reduced(cls, coeffs, modulus: int) -> TruncSeries:
         """Series on a tuple of ints that already lie in [0, modulus): the
         checks of the constructor, made inline, without the reduction.
-        ``phi_image`` holds a copy of this body with the prime check."""
+        ``phi_image`` holds a copy of this body with only the prime check."""
         require_prime(modulus)
         if len(coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
