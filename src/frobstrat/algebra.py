@@ -6,8 +6,8 @@ and a colength matrix stacks p(p - l) such rows (20 rows at p = 5, 42
 at p = 7), so plain Python integers are the right representation.  No
 floating point enters anywhere, and entries must be integers: a float or
 a fraction is refused rather than truncated.  :func:`require_prime`
-remembers up to :data:`PRIME_MEMO_SIZE` primes, so a repeated check
-costs a set lookup.  :data:`WORK_BUDGET` is the one bound on how many
+remembers the last prime it verified, so a repeated check costs one
+comparison.  :data:`WORK_BUDGET` is the one bound on how many
 items a public call may build; the calls whose work grows with p refuse
 before building anything when they would exceed it.
 """
@@ -28,9 +28,10 @@ PRIME_BOUND = 10**12
 def is_prime(n: int) -> bool:
     """Trial-division primality test; adequate for the tiny moduli used here.
 
-    Refuses ``n`` above :data:`PRIME_BOUND` with :class:`InvalidParameters`
-    rather than run for hours.
+    Refuses a non-integer ``n``, and ``n`` above :data:`PRIME_BOUND`, with
+    :class:`InvalidParameters` rather than answer or run for hours.
     """
+    n = _checked_int(n)
     if n < 2:
         return False
     if n > PRIME_BOUND:
@@ -59,24 +60,23 @@ def _over_budget(what: str, count, items: str) -> InvalidParameters:
     )
 
 
-#: Most primes :func:`require_prime` remembers; the memo starts over when full.
-PRIME_MEMO_SIZE = 64
-_verified_primes: set[int] = set()
+#: The last exact int :func:`require_prime` verified; one computation
+#: checks its own prime many times in a row.
+_last_prime: int | None = None
 
 
 def require_prime(p) -> None:
     """Raise :class:`InvalidParameters` unless ``p`` is a prime integer.
 
-    Exact ints that pass are remembered, at most :data:`PRIME_MEMO_SIZE`
-    of them, and answered by one lookup; other values are tested in full."""
-    if type(p) is int and p in _verified_primes:
+    The last exact int that passed is remembered and answered by one
+    comparison; other values are tested in full."""
+    global _last_prime
+    if type(p) is int and p == _last_prime:
         return
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise InvalidParameters(f"modulus must be a prime integer, got {p!r}")
     if type(p) is int:
-        if len(_verified_primes) >= PRIME_MEMO_SIZE:
-            _verified_primes.clear()
-        _verified_primes.add(p)
+        _last_prime = p
 
 
 def _checked_int(value, name: str = "", least: int | None = None) -> int:
@@ -119,23 +119,11 @@ class TruncSeries(Record):
     coeffs: tuple[int, ...]
     modulus: int
 
-    def __init__(self, coeffs, modulus: int) -> None:
-        self._from_reduced(coeffs, modulus)  # its checks, on the raw coefficients
-        object.__setattr__(self, "coeffs", _reduce(coeffs, modulus))
-        object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def _from_reduced(cls, coeffs, modulus: int) -> TruncSeries:
-        """Series on a tuple of ints that already lie in [0, modulus): the
-        checks of the constructor, made inline, without the reduction.
-        ``phi_image`` holds a copy of this body with only the prime check."""
-        require_prime(modulus)
-        if len(coeffs) < 1:
+    def __post_init__(self) -> None:
+        require_prime(self.modulus)
+        if len(self.coeffs) < 1:
             raise InvalidParameters("series precision must be positive")
-        self = object.__new__(cls)
-        attrs = self.__dict__
-        attrs["coeffs"], attrs["modulus"] = coeffs, modulus
-        return self
+        object.__setattr__(self, "coeffs", _reduce(self.coeffs, self.modulus))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -22,8 +22,8 @@ therefore grows with the number of terms and not with the precision; the
 dense p × precision grid is built only when ``coeffs`` is read.  Values
 built already reduced come from trusted constructors that make their
 checks inline and write their fields straight into the instance;
-``right_multiply`` and ``phi_image``, the hottest calls, hold a copy of
-their constructor's body with the same checks in place of the call.
+``right_multiply`` and ``phi_image``, the hottest calls, build their
+values in place with their constructor's prime check and no reduction.
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -232,12 +232,9 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
         raise InvalidLevel(f"power must lie in [0, {p - 1}], got {m}")
     if m + 1 > algebra.WORK_BUDGET:
         raise _over_budget(f"tau^{m} has", m + 1, "terms")
-    inv = [0, 1]  # inv[k] = 1/k mod p, from p = (p // k) k + p % k
-    for k in range(2, m + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
     terms, c = [(0, m, 1)], 1
     for k in range(1, m + 1):
-        c = c * (k - 1 - m) * inv[k] % p
+        c = c * (k - 1 - m) * pow(k, -1, p) % p
         terms.append((k, m - k, c))
     return PullbackElement._from_terms(tuple(terms), ctx.precision, p)
 
@@ -287,7 +284,7 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
         if right >= p:
             break
         coeffs[right] = (coeffs[right] + lams[left] * c) % p
-    require_prime(p)  # TruncSeries._from_reduced in place; p >= 2 coefficients, never empty
+    require_prime(p)  # TruncSeries's checks in place; p >= 2 coefficients, never empty
     image = object.__new__(TruncSeries)
     attrs = image.__dict__
     attrs["coeffs"], attrs["modulus"] = tuple(coeffs), p
@@ -385,8 +382,13 @@ class ColengthProfile(Record):
 
 def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
     """Degree of filtration level ``level``: the sum of its graded degrees
-    line_degree + m(2g - 2) over level <= m < p, in closed form."""
-    genus = _checked_int(genus, "genus", 2)
+    line_degree + m(2g - 2) over level <= m < p, in closed form (level 0 is
+    the pulled-back direct image).  ``p`` is checked to be an integer >= 2,
+    not a prime: a colength profile makes p - 1 of these calls."""
+    p, genus = _checked_int(p, "p", 2), _checked_int(genus, "genus", 2)
+    line_degree, level = _checked_int(line_degree), _checked_int(level)
+    if not 0 <= level <= p - 1:
+        raise InvalidLevel(f"level must lie in [0, {p - 1}], got {level}")
     return (p - level) * (line_degree + (genus - 1) * (p + level - 1))
 
 
@@ -411,11 +413,8 @@ def colength_profile(
         lv: level_degree(p, genus, line_degree, lv) - cols[lv]
         for lv in range(1, p)
     }
-    profile = object.__new__(ColengthProfile)  # every field set, as by Record's binder
-    attrs = profile.__dict__
-    attrs["colengths"], attrs["intersection_degrees"] = cols, inter
-    attrs["extrapolated"] = (p, genus, line_degree) != REFERENCE_PARAMETERS
-    return profile
+    extrapolated = (p, genus, line_degree) != REFERENCE_PARAMETERS
+    return ColengthProfile(cols, inter, extrapolated)
 
 
 def fiber_polygon(
@@ -443,9 +442,9 @@ def fiber_polygon(
             stacklevel=2,
         )
     p = ctx.p
-    subsheaf_degree = (line_degree + (p - 1) * (genus - 1)) - 1
     chain = [(0, 0)]
     for lv in range(p - 1, 0, -1):
         chain.append((p - lv, profile.intersection_degrees[lv]))
-    chain.append((p, p * subsheaf_degree))
+    # a colength-one subsheaf pulls back to degree p below level 0's
+    chain.append((p, level_degree(p, genus, line_degree, 0) - p))
     return make_polygon(_upper_hull(chain))

@@ -21,7 +21,7 @@ class Record:
     ``_from_canonical``: it takes fields already in normal form, makes
     inline the checks its callers have not made, and sets the fields
     without the generic binding.  ``local_frobenius.right_multiply`` and
-    ``phi_image`` hold a copy of that body, checks and all, in place of the call.
+    ``phi_image`` build their values that way in place, prime check included.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

@@ -142,8 +142,8 @@ def sun_slope_bound(p: int, g: int, line_degree: int, sub_rank: int) -> Fraction
     from fractions import Fraction
     require_prime(p)
     g = _checked_int(g, "genus", 2)
-    line_degree = _checked_int(line_degree)
-    if not 1 <= _checked_int(sub_rank) <= p:
+    line_degree, sub_rank = _checked_int(line_degree), _checked_int(sub_rank)
+    if not 1 <= sub_rank <= p:
         raise InvalidParameters(
             f"subsheaf rank must lie in [1, {p}], got {sub_rank}"
         )

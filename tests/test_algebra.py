@@ -12,7 +12,6 @@ import frobstrat.algebra as algebra
 from conftest import _run_capped
 from frobstrat.algebra import (
     PRIME_BOUND,
-    PRIME_MEMO_SIZE,
     WORK_BUDGET,
     FpMatrix,
     is_prime,
@@ -55,11 +54,11 @@ def _refused(n) -> bool:
 def test_require_prime_memo_refuses_what_is_prime_refuses(monkeypatch, warm):
     """Each input twice, so the second call meets whatever the first one
     remembered; only exact ints enter the memo."""
-    monkeypatch.setattr(algebra, "_verified_primes", set())
+    monkeypatch.setattr(algebra, "_last_prime", None)
     if warm:
         for q in (2, 3, 5, 7):
             require_prime(q)
-        assert algebra._verified_primes == {2, 3, 5, 7}
+        assert algebra._last_prime == 7
     for n in MEMO_INPUTS:
         for _ in range(2):
             if _refused(n):
@@ -67,16 +66,16 @@ def test_require_prime_memo_refuses_what_is_prime_refuses(monkeypatch, warm):
                     require_prime(n)
             else:
                 require_prime(n)
-    assert all(type(q) is int and is_prime(q) for q in algebra._verified_primes)
+    assert algebra._last_prime == 499  # the sweep's last exact-int prime, not _Int(3)
 
 
 def test_require_prime_memo_stays_bounded(monkeypatch):
-    monkeypatch.setattr(algebra, "_verified_primes", set())
+    monkeypatch.setattr(algebra, "_last_prime", None)
     primes = [n for n in range(2, 1300) if is_prime(n)][:200]
     assert len(primes) == 200
     for q in primes:
         require_prime(q)
-        assert len(algebra._verified_primes) <= PRIME_MEMO_SIZE == 64
+        assert algebra._last_prime == q
     for q in primes:
         require_prime(q)
     with pytest.raises(InvalidParameters):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobstrat.algebra import FpMatrix, TruncSeries
+from frobstrat.algebra import FpMatrix, TruncSeries, is_prime
 from frobstrat.errors import InvalidParameters
 from frobstrat.local_frobenius import (
     FiberPoint,
@@ -16,6 +16,7 @@ from frobstrat.local_frobenius import (
     colength,
     colength_profile,
     element_from_monomials,
+    fiber_polygon,
     level_degree,
     right_multiply,
     submodule_contains_monomial,
@@ -47,6 +48,7 @@ P4 = REFERENCE_POLYGONS["P4"]
 #: Each builder puts ``v`` in one integer slot of a valid input; with v = 1
 #: it builds a value, so only the type of ``v`` decides the outcome.
 BUILDERS = {
+    "is_prime": lambda v: is_prime(v + 2),
     "LatticePolygon": lambda v: LatticePolygon(((0, 0), (v, 1), (3, 0))),
     "make_polygon": lambda v: make_polygon([(0, 0), (v, 1), (3, 0)]),
     "FiberPoint": lambda v: FiberPoint((v, 1, 0), 3),
@@ -63,7 +65,10 @@ BUILDERS = {
     "colength_profile.genus": lambda v: colength_profile(CTX3, PT3, v + 1, -1),
     "colength_profile.line_degree": lambda v: colength_profile(CTX3, PT3, 2, -v),
     "submodule_contains_monomial": lambda v: submodule_contains_monomial(PT3, v),
+    "level_degree.p": lambda v: level_degree(v + 2, 2, -1, 1),
     "level_degree.genus": lambda v: level_degree(3, v + 1, -1, 1),
+    "level_degree.line_degree": lambda v: level_degree(3, 2, -v, 1),
+    "level_degree.level": lambda v: level_degree(3, 2, -1, v),
     "LocalContext": lambda v: LocalContext(3, 9 * v),
     "enumerate_frobenius_polygons.g": lambda v: enumerate_frobenius_polygons(
         3, v + 1, 3, 0
@@ -109,10 +114,11 @@ def test_non_integral_entry_is_refused(build, value):
 
 
 #: Slots whose builder gets 1 from ``v``: v + 1 in each genus slot, and
-#: v + 2 in the p slots of the polygon predicates.
+#: v + 2 in the p slots of the polygon predicates and ``level_degree``.
 BELOW_BOUND = [
     *[(slot, 0) for slot in BUILDERS if slot.endswith((".g", ".genus"))],
     ("b1_splits", 0),
+    ("level_degree.p", -1),
     ("satisfies_spread_bound.p", -1),
     ("is_canonical.p", -1),
 ]
@@ -120,7 +126,26 @@ BELOW_BOUND = [
 
 @pytest.mark.parametrize("slot,value", BELOW_BOUND, ids=[s for s, _ in BELOW_BOUND])
 def test_genus_one_and_p_one_are_refused(slot, value):
-    """Genus 1, and p = 1 in the polygon predicates, are refused by their
-    lower bound before any primality test, rather than answered."""
+    """Genus 1, and p = 1 in the polygon predicates and ``level_degree``,
+    are refused by their lower bound before any primality test, rather
+    than answered."""
     with pytest.raises(InvalidParameters, match="must be at least 2, got 1"):
         BUILDERS[slot](value)
+
+
+class _Index:
+    """An integer type that is not an int: it has only ``__index__``."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_calls_compute_with_the_values_they_checked():
+    """An argument that passes the integer check through ``__index__`` is
+    used as the int it indexes to, not as given."""
+    assert sun_slope_bound(3, 2, -1, _Index(1)) == sun_slope_bound(3, 2, -1, 1)
+    assert level_degree(*map(_Index, (3, 2, -1, 1))) == level_degree(3, 2, -1, 1)
+    assert fiber_polygon(CTX3, PT3, _Index(2), _Index(-1)) == fiber_polygon(CTX3, PT3, 2, -1)

@@ -515,9 +515,9 @@ def test_unreduced_constructors_keep_their_checks():
     with pytest.raises(InvalidParameters):
         FpMatrix._from_reduced(((1,),), 9)  # prime modulus
     with pytest.raises(InvalidParameters):
-        TruncSeries._from_reduced((1, 2), 4)  # prime modulus
+        TruncSeries((1, 2), 4)  # prime modulus
     with pytest.raises(InvalidParameters):
-        TruncSeries._from_reduced((), 3)  # non-empty
+        TruncSeries((), 3)  # non-empty
 
 
 def test_fiber_polygon_reference_points():
@@ -569,6 +569,13 @@ def test_level_degree_matches_filtration_degrees(p, g):
         graded = [deg for _, deg in filtration_degrees(p, g, line_degree)]
         for level in range(p):
             assert level_degree(p, g, line_degree, level) == sum(graded[level:])
+
+
+def test_level_degree_refuses_a_level_outside_the_filtration():
+    assert level_degree(3, 2, -1, 0) == 3
+    for level in (-1, 3, 7):
+        with pytest.raises(InvalidLevel, match=r"\[0, 2\]"):
+            level_degree(3, 2, -1, level)
 
 
 def test_fiber_polygon_extrapolation_warns():
