@@ -45,7 +45,7 @@ for lambdas in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]:
     ]
     image = phi_image(tau2, point)
     print(
-        f"  ({':'.join(map(str, lambdas))}): image of tau^2 = {image.coeffs}, "
+        f"  ({':'.join(map(str, lambdas))}): image of tau^2 = {image}, "
         f"members among j=0..3: {members}"
     )
 

@@ -2,8 +2,8 @@
 
 The package has four layers:
 
-* :mod:`frobstrat.algebra` -- primality, truncated power series and dense
-  F_p matrices with exact rank computation;
+* :mod:`frobstrat.algebra` -- primality and dense F_p matrices with exact
+  rank computation;
 * :mod:`frobstrat.local_frobenius` -- the formal-local model of Frobenius
   push/pull at a point, its canonical filtration via tau powers, and the
   colength linear algebra classifying colength-one submodules;
@@ -27,7 +27,7 @@ frobstrat`` alone loads no layer.
 import importlib
 
 _EXPORTS = {
-    "algebra": ("FpMatrix", "TruncSeries", "is_prime", "matrix_rank"),
+    "algebra": ("FpMatrix", "is_prime", "matrix_rank"),
     "errors": (
         "BadStart",
         "EndpointMismatch",

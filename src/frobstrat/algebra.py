@@ -1,15 +1,15 @@
-"""Exact values over prime fields: primality, truncated series, matrices.
+"""Exact values over prime fields: primality, matrices and their rank.
 
 All values are immutable and small: the moduli in play are small primes,
-a truncated series holds the p coefficients of an image in k[t]/(t^p),
-and a colength matrix stacks p(p - l) such rows (20 rows at p = 5, 42
-at p = 7), so plain Python integers are the right representation.  No
-floating point enters anywhere, and entries must be integers: a float or
-a fraction is refused rather than truncated.  :func:`require_prime`
-remembers the last prime it verified, so a repeated check costs one
-comparison.  :data:`WORK_BUDGET` is the one bound on how many
-items a public call may build; the calls whose work grows with p refuse
-before building anything when they would exceed it.
+and a colength matrix stacks p(p - l) rows of p entries, images in
+k[t]/(t^p) (20 rows at p = 5, 42 at p = 7), so plain Python integers are
+the right representation.  No floating point enters anywhere, and
+entries must be integers: a float or a fraction is refused rather than
+truncated.  :func:`require_prime` remembers the last prime it verified,
+so a repeated check costs one comparison.  :data:`WORK_BUDGET` is the
+one bound on how many items a public call may build; the calls whose
+work grows with p refuse before building anything when they would exceed
+it.
 """
 
 from __future__ import annotations
@@ -107,54 +107,24 @@ def _reduce(values, p: int) -> tuple[int, ...]:
         raise _not_integral(values) from None
 
 
-class TruncSeries(Record):
-    """A power series over F_p truncated below degree N = ``len(coeffs)``.
-
-    ``coeffs[j]`` holds the coefficient of t**j.  It is a value, not an
-    algebra: :func:`~frobstrat.local_frobenius.phi_image` returns its images
-    in k[t]/(t^p) as series of length p, and they are only compared, tested
-    for zero and stacked as matrix rows.
-    """
-
-    coeffs: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        if len(self.coeffs) < 1:
-            raise InvalidParameters("series precision must be positive")
-        object.__setattr__(self, "coeffs", _reduce(self.coeffs, self.modulus))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
 class FpMatrix(Record):
-    """A dense matrix over F_p, stored as a tuple of row tuples."""
+    """A dense matrix over F_p: any iterable of integer rows, stored reduced."""
 
     rows: tuple[tuple[int, ...], ...]
     modulus: int
 
-    def __init__(self, rows, modulus: int) -> None:
-        self._from_reduced(rows, modulus)  # its checks, on the raw rows
-        reduced = tuple(_reduce(row, modulus) for row in rows)
-        object.__setattr__(self, "rows", reduced)
-        object.__setattr__(self, "modulus", modulus)
-
-    @classmethod
-    def _from_reduced(cls, rows, modulus: int) -> FpMatrix:
-        """Matrix on a tuple of int tuples whose entries already lie in
-        [0, modulus): the checks of the constructor, made inline, without
-        the reduction."""
-        require_prime(modulus)
+    def __post_init__(self) -> None:
+        p, rows = self.modulus, self.rows
+        require_prime(p)
+        try:
+            rows = tuple(_reduce(row, p) for row in rows)
+        except TypeError:
+            raise InvalidParameters(f"rows must be iterable, got {rows!r}") from None
         if not rows or not rows[0]:
             raise InvalidParameters("matrix dimensions must be positive")
         if set(map(len, rows)) != {len(rows[0])}:
             raise InvalidParameters("matrix rows must share one length")
-        self = object.__new__(cls)
-        attrs = self.__dict__
-        attrs["rows"], attrs["modulus"] = rows, modulus
-        return self
+        object.__setattr__(self, "rows", rows)
 
     @property
     def nrows(self) -> int:

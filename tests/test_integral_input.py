@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobstrat.algebra import FpMatrix, TruncSeries, is_prime
+from frobstrat.algebra import FpMatrix, is_prime
 from frobstrat.errors import InvalidParameters
 from frobstrat.local_frobenius import (
     FiberPoint,
@@ -52,7 +52,6 @@ BUILDERS = {
     "LatticePolygon": lambda v: LatticePolygon(((0, 0), (v, 1), (3, 0))),
     "make_polygon": lambda v: make_polygon([(0, 0), (v, 1), (3, 0)]),
     "FiberPoint": lambda v: FiberPoint((v, 1, 0), 3),
-    "TruncSeries": lambda v: TruncSeries((v, 2), 3),
     "FpMatrix": lambda v: FpMatrix(((v,),), 3),
     "PullbackElement": lambda v: PullbackElement(((0, 0, v),), 3, 3),
     "PullbackElement.precision": lambda v: PullbackElement((), 3 * v, 3),
@@ -149,3 +148,28 @@ def test_calls_compute_with_the_values_they_checked():
     assert sun_slope_bound(3, 2, -1, _Index(1)) == sun_slope_bound(3, 2, -1, 1)
     assert level_degree(*map(_Index, (3, 2, -1, 1))) == level_degree(3, 2, -1, 1)
     assert fiber_polygon(CTX3, PT3, _Index(2), _Index(-1)) == fiber_polygon(CTX3, PT3, 2, -1)
+
+
+def test_constructors_take_any_iterable():
+    """A one-shot iterator builds the same value as a tuple: the entries
+    are reduced before any length is taken or any index read."""
+    assert FpMatrix(iter([(1,)]), 3) == FpMatrix(((1,),), 3)
+    assert FpMatrix(iter([iter([1, 4])]), 3).rows == ((1, 1),)
+    assert FiberPoint(iter([2, 0, 0]), 3) == FiberPoint((1, 0, 0), 3)
+    assert FiberPoint((v for v in (0, 2, 1)), 3).lambdas == (0, 1, 2)
+    assert PullbackElement(iter([(0, 0, 1)]), 3, 3) == PullbackElement(((0, 0, 1),), 3, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FpMatrix(5, 3),
+        lambda: FpMatrix([1, 2], 3),
+        lambda: FiberPoint(5, 3),
+        lambda: FiberPoint(iter([1, 0]), 3),
+    ],
+    ids=["FpMatrix", "FpMatrix.row", "FiberPoint", "FiberPoint.short"],
+)
+def test_non_iterable_or_short_input_is_refused(build):
+    with pytest.raises(InvalidParameters):
+        build()

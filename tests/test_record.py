@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from frobstrat.algebra import FpMatrix, TruncSeries
+from frobstrat.algebra import FpMatrix
 from frobstrat.local_frobenius import (
     ColengthProfile,
     FiberPoint,
@@ -18,7 +18,6 @@ P4 = REFERENCE_POLYGONS["P4"]
 
 #: One valid value of every record type, as its field values in order.
 VALUES = [
-    (TruncSeries, ((1, 0, 2), 3)),
     (FpMatrix, (((1, 2), (0, 1)), 3)),
     (LocalContext, (3, 9)),
     (PullbackElement, (((0, 1, 2), (1, 0, 1)), 3, 3)),
@@ -91,8 +90,8 @@ def test_fiber_point_equality_is_projective():
 
 
 def test_a_polygon_from_the_trusted_path_is_a_full_record():
-    """:func:`make_polygon` builds through the trusted constructor, which
-    skips ``__init__``; the polygon still equals, hashes and prints like
+    """:func:`make_polygon` builds its polygon in place, skipping
+    ``__init__``; the polygon still equals, hashes and prints like
     the constructor's, and stays frozen."""
     verts = ((0, 0), (1, 2), (2, 2), (3, 0))
     made, built = make_polygon([(0, 0), (1, 2), (2, 2), (3, 0)]), LatticePolygon(verts)
