@@ -20,6 +20,9 @@ class Record:
     are in normal form by construction in place, with only the checks
     their callers have not made: ``local_frobenius.tau_power``,
     ``right_multiply`` and ``colength``, and ``polygons.make_polygon``.
+    The fields are the whole value but for one memo: a ``LocalContext``
+    and the tau powers it builds remember values already built, in a
+    non-field attribute that no field, equality, hash or repr reads.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

@@ -82,10 +82,10 @@ class CurveContext(Record):
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        _checked_int(self.g, "genus", 2)
-        _checked_int(self.r, "rank", 1)
-        _checked_int(self.d)
-        _checked_int(self.line_degree)
+        object.__setattr__(self, "g", _checked_int(self.g, "genus", 2))
+        object.__setattr__(self, "r", _checked_int(self.r, "rank", 1))
+        object.__setattr__(self, "d", _checked_int(self.d))
+        object.__setattr__(self, "line_degree", _checked_int(self.line_degree))
 
 
 class StratumReport(Record):

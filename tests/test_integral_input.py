@@ -38,6 +38,7 @@ from frobstrat.strata import (
     b1_splits,
     filtration_degrees,
     pushforward_type,
+    stratum_table,
     sun_slope_bound,
 )
 
@@ -148,6 +149,8 @@ def test_calls_compute_with_the_values_they_checked():
     assert sun_slope_bound(3, 2, -1, _Index(1)) == sun_slope_bound(3, 2, -1, 1)
     assert level_degree(*map(_Index, (3, 2, -1, 1))) == level_degree(3, 2, -1, 1)
     assert fiber_polygon(CTX3, PT3, _Index(2), _Index(-1)) == fiber_polygon(CTX3, PT3, 2, -1)
+    assert colength(LocalContext(3, _Index(9)), PT3, 1) == colength(CTX3, PT3, 1)
+    assert stratum_table(CurveContext(g=_Index(2))) == stratum_table(CurveContext())
 
 
 def test_constructors_take_any_iterable():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 import frobstrat.local_frobenius as lf
+from frobstrat import algebra
 from conftest import _run_capped
 from frobstrat.algebra import FpMatrix, matrix_rank
 from frobstrat.errors import (
@@ -421,7 +423,7 @@ def test_sparse_elements_match_dense_oracle(p):
             assert got.coeffs == want
             rebuilt = PullbackElement(grid_terms(want, p), n, p)
             assert got == rebuilt and hash(got) == hash(rebuilt)
-            assert got.is_zero() == rebuilt.is_zero() == (not any(map(any, want)))
+            assert (not got.terms) == (not rebuilt.terms) == (not any(map(any, want)))
             for point in points:
                 assert phi_image(got, point) == dense_phi_image(want, point)
 
@@ -460,6 +462,92 @@ def test_trusted_constructors_match_the_normalising_ones(p, monkeypatch):
     assert len(matrices) == len(points) * (p - 1)
     for matrix in matrices:
         same(matrix, FpMatrix(matrix.rows, p))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_remembered_powers_and_shifts_match_the_constructor_path(p):
+    """On a fresh context, the first and the repeated call of every tau^m
+    and of its shifts by j < p equal the normaliser's element and a fresh
+    shift of it; the repeated call returns the first call's object."""
+    ctx = LocalContext.default(p)
+    for _ in range(2):
+        for m in range(p):
+            want = element_from_monomials(ctx, tau_monomials(m))
+            got = tau_power(ctx, m)
+            assert got == want and got is tau_power(ctx, m)
+            for j in range(1, p):
+                fresh = right_multiply(want, j)
+                assert fresh == element_from_monomials(ctx, shift_right(tau_monomials(m), j))
+                shifted = right_multiply(got, j)
+                assert shifted == fresh and shifted is right_multiply(got, j)
+
+
+def test_a_filled_memo_is_invisible_to_equality_hash_and_repr():
+    """A context and a power whose memos are filled compare, hash and repr
+    as values built fresh from the same fields."""
+    ctx = LocalContext.default(5)
+    colength_profile(ctx, FiberPoint((1, 2, 3, 4, 1), 5), 2, -1)
+    fresh = LocalContext.default(5)
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
+    power = tau_power(ctx, 3)
+    assert all(shift is not None for shift in power._shifts[1:])
+    rebuilt = PullbackElement(power.terms, power.precision, 5)
+    assert power == rebuilt and hash(power) == hash(rebuilt) and repr(power) == repr(rebuilt)
+
+
+def _remembered_monomials(ctx):
+    powers = [power for power in ctx._powers if power is not None]
+    shifts = [shift for power in powers for shift in power._shifts if shift is not None]
+    return sum(len(element.terms) for element in powers + shifts)
+
+
+def test_the_memo_is_kept_only_where_its_table_fits_the_work_budget(monkeypatch):
+    """The whole table, p^2(p + 1)/2 monomials, is what a full memo holds;
+    it is kept up to p = 113, not at p = 127, and never for a shift j >= p."""
+    p = 13
+    ctx = LocalContext.default(p)
+    for m in range(p):
+        for j in range(2 * p - m):
+            right_multiply(tau_power(ctx, m), j)
+    assert _remembered_monomials(ctx) == p * p * (p + 1) // 2
+
+    ctx = LocalContext.default(113)
+    top = tau_power(ctx, 112)
+    assert top is tau_power(ctx, 112)
+    assert right_multiply(top, 112) is right_multiply(top, 112)
+    assert right_multiply(top, 113) is not right_multiply(top, 113)
+    assert right_multiply(top, 113) == right_multiply(top, 113)
+
+    ctx = LocalContext.default(127)
+    assert ctx._powers is None
+    assert tau_power(ctx, 126) is not tau_power(ctx, 126)
+    assert right_multiply(tau_power(ctx, 126), 1)._shifts is None
+
+    monkeypatch.setattr(algebra, "WORK_BUDGET", p * p * (p + 1) // 2 - 1)
+    ctx = LocalContext.default(p)
+    assert ctx._powers is None and tau_power(ctx, 1) is not tau_power(ctx, 1)
+
+
+def test_calls_outside_the_memo_keep_no_memory():
+    """Every power at p = 127, and every shift j >= p of a remembered power
+    at p = 113, is built and dropped: tracemalloc's current size stays flat
+    over a pass that would hold about 1.6 MB if any of them were kept."""
+    def sweep(big, top):
+        for m in range(127):
+            right_multiply(tau_power(big, m), 1)
+        for j in range(113, top.precision - 112):
+            right_multiply(top, j)
+
+    sweep(LocalContext.default(127), tau_power(LocalContext.default(113), 112))
+    big, top = LocalContext.default(127), tau_power(LocalContext.default(113), 112)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep(big, top)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 16 * 1024
 
 
 def test_large_precision_keeps_elements_sparse():
