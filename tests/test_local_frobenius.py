@@ -523,6 +523,9 @@ def test_the_memo_is_kept_only_where_its_table_fits_the_work_budget(monkeypatch)
     assert tau_power(ctx, 126) is not tau_power(ctx, 126)
     assert right_multiply(tau_power(ctx, 126), 1)._shifts is None
 
+    monkeypatch.setattr(algebra, "WORK_BUDGET", p * p * (p + 1) // 2)
+    ctx = LocalContext.default(p)
+    assert tau_power(ctx, 1) is tau_power(ctx, 1)
     monkeypatch.setattr(algebra, "WORK_BUDGET", p * p * (p + 1) // 2 - 1)
     ctx = LocalContext.default(p)
     assert ctx._powers is None and tau_power(ctx, 1) is not tau_power(ctx, 1)
@@ -531,7 +534,8 @@ def test_the_memo_is_kept_only_where_its_table_fits_the_work_budget(monkeypatch)
 def test_calls_outside_the_memo_keep_no_memory():
     """Every power at p = 127, and every shift j >= p of a remembered power
     at p = 113, is built and dropped: tracemalloc's current size stays flat
-    over a pass that would hold about 1.6 MB if any of them were kept."""
+    over a pass whose powers, or whose shifts, would hold about 1-2 MB if
+    they were kept."""
     def sweep(big, top):
         for m in range(127):
             right_multiply(tau_power(big, m), 1)
