@@ -25,14 +25,18 @@ form by construction in place, keeping only their constructor's prime
 check: it repeats one already made, but the benchmark guard counts it.
 
 A colength profile asks for each tau^m once per level l <= m, and for its
-shifts by j < p each time, at every point.  So a context remembers every
-tau^m it builds, and each remembered power remembers its right shifts by
+shifts by j < p each time, at every point, and for the image of each
+shift at its point once per level.  So a context remembers every tau^m
+it builds, and each remembered power remembers its right shifts by
 0 < j < p; a repeat call runs all its checks, then returns the same
-object.  The memo lives in a non-field attribute, so no field, equality,
-hash or repr reads it, and it dies with its context.  It is kept only
-where its whole table, p^2(p + 1)/2 monomials, fits
-:data:`~frobstrat.algebra.WORK_BUDGET` (p <= 113, the bound of a level-1
-colength).
+object.  Each remembered power and shift also keeps its image at the
+last point it was mapped at, so the p(p - 1) distinct images of a
+profile are each computed once, and a call at another point replaces
+the entry.  Both memos live in non-field attributes, so no field,
+equality, hash or repr reads them, and they die with their context.
+They are kept only where the whole table of powers and shifts,
+p^2(p + 1)/2 monomials, fits :data:`~frobstrat.algebra.WORK_BUDGET`
+(p <= 113, the bound of a level-1 colength).
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -91,13 +95,14 @@ class LocalContext(Record):
     precision: int
 
     def __post_init__(self) -> None:
-        p = self.p
-        require_prime(p)
+        require_prime(self.p)
+        p = _checked_int(self.p)  # an exact int, which require_prime remembers
         precision = _checked_int(self.precision)
         if precision < 2 * p:
             raise InvalidParameters(
                 f"precision must be at least 2p = {2 * p}, got {precision}"
             )
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "precision", precision)
         # tau^m at index m once built; None where the memo is not kept.
         fits = p * p * (p + 1) // 2 <= algebra.WORK_BUDGET
@@ -132,6 +137,9 @@ class PullbackElement(Record):
     #: A remembered tau power's shift by 1⊗t^j at index 0 < j < p once
     #: built; None on every other element.
     _shifts = None
+    #: (last point, its image) on a remembered power or shift, (None, None)
+    #: before the first image; None on every other element.
+    _image = None
 
     def __post_init__(self) -> None:
         p = self.modulus
@@ -174,7 +182,7 @@ class FiberPoint(Record):
 
     def __init__(self, lambdas, modulus: int) -> None:
         require_prime(modulus)
-        p = modulus
+        p = _checked_int(modulus)
         reduced = _reduce(lambdas, p)
         if len(reduced) != p:
             raise InvalidParameters(
@@ -230,6 +238,7 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
 
     A context at p <= 113 remembers each power it builds: a repeat call
     makes every check and the prime check, then returns the same object.
+    A remembered power keeps its last image (see :func:`phi_image`).
     """
     if type(m) is not int:
         m = _checked_int(m)
@@ -250,7 +259,7 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     power = object.__new__(PullbackElement)
     power.__dict__.update(terms=tuple(terms), precision=ctx.precision, modulus=p)
     if powers is not None:
-        power.__dict__["_shifts"] = [None] * p
+        power.__dict__.update(_shifts=[None] * p, _image=(None, None))
         powers[m] = power
     return power
 
@@ -262,7 +271,8 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
     pushed to a right exponent at or past the precision, so results are
     never silently wrong.  A power remembered by its context (see
     :func:`tau_power`) remembers its shifts by 0 < j < p: a repeat call
-    makes every check and the prime check, then returns the same object.
+    makes every check and the prime check, then returns the same object,
+    which keeps its last image (see :func:`phi_image`).
     """
     if type(j) is not int:
         j = _checked_int(j)
@@ -285,6 +295,7 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
     attrs["terms"] = tuple([(right + j, left, c) for right, left, c in terms])
     attrs["precision"], attrs["modulus"] = n, p
     if shifts is not None:
+        attrs["_image"] = (None, None)
         shifts[j] = shifted
     return shifted
 
@@ -295,23 +306,36 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> tuple[int, ...]:
 
     The element lies in the submodule V ⊗_A k[[t]] named by ``point`` if
     and only if every coefficient vanishes.
+
+    A power or shift remembered by its context (see :func:`tau_power` and
+    :func:`right_multiply`) keeps its image at the last point object it
+    was mapped at: a repeat call with that same object makes every check
+    and the prime check, then returns the same tuple.  A call at another
+    point computes the image and replaces the entry; other elements keep
+    nothing.
     """
     if element.modulus != point.modulus:
         raise ModulusMismatch(
             f"element over F_{element.modulus}, point over F_{point.modulus}"
         )
-    p, lams = element.modulus, point.lambdas
+    p = element.modulus
     if element.precision < p:
         raise InvalidParameters(f"element precision must be at least p = {p}")
-    coeffs = [0] * p
+    # The benchmark guard pins one check per image (ROADMAP 1b): profile_counts
+    # in perfbench/workloads.py pins (p - 1)(p^2 + 1) per profile.
+    require_prime(p)
+    memo = element._image
+    if memo is not None and memo[0] is point:
+        return memo[1]
+    coeffs, lams = [0] * p, point.lambdas
     for right, left, c in element.terms:  # sorted by right exponent
         if right >= p:
             break
         coeffs[right] = (coeffs[right] + lams[left] * c) % p
-    # The benchmark guard pins one check per image (ROADMAP 1b): profile_counts
-    # in perfbench/workloads.py pins (p - 1)(p^2 + 1) per profile.
-    require_prime(p)
-    return tuple(coeffs)
+    image = tuple(coeffs)
+    if memo is not None:
+        element.__dict__["_image"] = (point, image)
+    return image
 
 
 def submodule_contains(element: PullbackElement, point: FiberPoint) -> bool:
@@ -411,7 +435,8 @@ def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
     """Degree of filtration level ``level``: the sum of its graded degrees
     line_degree + m(2g - 2) over level <= m < p, in closed form (level 0 is
     the pulled-back direct image).  ``p`` is checked to be an integer >= 2,
-    not a prime: a colength profile makes p - 1 of these calls."""
+    not a prime.  :func:`colength_profile` and :func:`fiber_polygon` write
+    this closed form inline, on the ints they have checked."""
     p, genus = _checked_int(p, "p", 2), _checked_int(genus, "genus", 2)
     line_degree, level = _checked_int(line_degree), _checked_int(level)
     if not 0 <= level <= p - 1:
@@ -436,12 +461,18 @@ def colength_profile(
         what = f"a colength profile at p = {p} shifts"
         raise _over_budget(what, monomials, "tau monomials")
     cols = {lv: colength(ctx, point, lv) for lv in range(1, p)}
+    # level_degree's closed form, on the ints checked above
     inter = {
-        lv: level_degree(p, genus, line_degree, lv) - cols[lv]
-        for lv in range(1, p)
+        lv: (p - lv) * (line_degree + (genus - 1) * (p + lv - 1)) - col
+        for lv, col in cols.items()
     }
-    extrapolated = (p, genus, line_degree) != REFERENCE_PARAMETERS
-    return ColengthProfile(cols, inter, extrapolated)
+    profile = object.__new__(ColengthProfile)
+    profile.__dict__.update(
+        colengths=cols,
+        intersection_degrees=inter,
+        extrapolated=(p, genus, line_degree) != REFERENCE_PARAMETERS,
+    )
+    return profile
 
 
 def fiber_polygon(
@@ -459,6 +490,8 @@ def fiber_polygon(
     Away from :data:`REFERENCE_PARAMETERS` the result is flagged with
     :class:`ExtrapolationWarning`.
     """
+    genus = _checked_int(genus, "genus", 2)
+    line_degree = _checked_int(line_degree)
     profile = colength_profile(ctx, point, genus, line_degree)
     if profile.extrapolated:
         warnings.warn(
@@ -472,6 +505,7 @@ def fiber_polygon(
     chain = [(0, 0)]
     for lv in range(p - 1, 0, -1):
         chain.append((p - lv, profile.intersection_degrees[lv]))
-    # a colength-one subsheaf pulls back to degree p below level 0's
-    chain.append((p, level_degree(p, genus, line_degree, 0) - p))
+    # a colength-one subsheaf pulls back to degree p below level 0's,
+    # p(line_degree + (g - 1)(p - 1)) by level_degree's closed form
+    chain.append((p, p * (line_degree + (genus - 1) * (p - 1) - 1)))
     return make_polygon(_upper_hull(chain))

@@ -16,13 +16,15 @@ class Record:
     deleting an attribute raises.  The generic constructor binds arguments
     to fields like a call signature, then runs ``__post_init__`` if the
     class has one; a check there may normalise a field with
-    :func:`object.__setattr__`.  Four hot calls build a value whose fields
+    :func:`object.__setattr__`.  Five hot calls build a value whose fields
     are in normal form by construction in place, with only the checks
     their callers have not made: ``local_frobenius.tau_power``,
-    ``right_multiply`` and ``colength``, and ``polygons.make_polygon``.
-    The fields are the whole value but for one memo: a ``LocalContext``
-    and the tau powers it builds remember values already built, in a
-    non-field attribute that no field, equality, hash or repr reads.
+    ``right_multiply``, ``colength`` and ``colength_profile``, and
+    ``polygons.make_polygon``.  The fields are the whole value but for
+    two memos: a ``LocalContext`` and the tau powers it builds remember
+    the powers and shifts already built, and each remembered power and
+    shift its image at the last point, in non-field attributes that no
+    field, equality, hash or repr reads.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

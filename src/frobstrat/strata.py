@@ -82,6 +82,7 @@ class CurveContext(Record):
 
     def __post_init__(self) -> None:
         require_prime(self.p)
+        object.__setattr__(self, "p", _checked_int(self.p))
         object.__setattr__(self, "g", _checked_int(self.g, "genus", 2))
         object.__setattr__(self, "r", _checked_int(self.r, "rank", 1))
         object.__setattr__(self, "d", _checked_int(self.d))

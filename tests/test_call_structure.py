@@ -5,9 +5,11 @@ keep the call structure the benchmark's traced runs pin.
 one ``cli.main`` makes to each traced function and refuses a traced run
 whose counts differ from the closed forms in ``perfbench/workloads.py``.
 These tests apply the same check with the same tracer, so a change that
-alters the call structure (say, a cache on ``tau_power``, or a second
-``make_polygon`` per emitted polygon) fails here and not only in a traced
-benchmark run.
+alters the call structure (say, a ``colength_profile`` that reads every
+level off one level-1 matrix instead of calling ``colength`` per level,
+or a second ``make_polygon`` per emitted polygon) fails here and not only
+in a traced benchmark run.  A memo that keeps every pinned call, the
+``require_prime`` check of each call included, alters no count.
 """
 
 from __future__ import annotations

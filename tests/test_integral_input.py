@@ -3,11 +3,13 @@ of truncating them or computing with them in floating point."""
 
 from __future__ import annotations
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
-from frobstrat.algebra import FpMatrix, is_prime
+from frobstrat import algebra
+from frobstrat.algebra import FpMatrix, is_prime, require_prime
 from frobstrat.errors import InvalidParameters
 from frobstrat.local_frobenius import (
     FiberPoint,
@@ -151,6 +153,37 @@ def test_calls_compute_with_the_values_they_checked():
     assert fiber_polygon(CTX3, PT3, _Index(2), _Index(-1)) == fiber_polygon(CTX3, PT3, 2, -1)
     assert colength(LocalContext(3, _Index(9)), PT3, 1) == colength(CTX3, PT3, 1)
     assert stratum_table(CurveContext(g=_Index(2))) == stratum_table(CurveContext())
+
+
+class _Prime(IntEnum):
+    """An int subclass: it passes the prime check as the int it equals."""
+
+    THREE = 3
+    FIVE = 5
+
+
+def test_contexts_and_points_store_p_as_an_exact_int(monkeypatch):
+    """``LocalContext``, ``FiberPoint`` and ``CurveContext`` store a prime
+    given as an int subclass as the exact int it indexes to, so the
+    one-entry ``require_prime`` memo answers every check of a colength
+    profile without a primality test; a bool is still refused."""
+    ctx, point = LocalContext(_Prime.FIVE, 15), FiberPoint((1, 2, 3, 4, 1), _Prime.FIVE)
+    curve = CurveContext(p=_Prime.THREE)
+    assert type(ctx.p) is type(point.modulus) is type(curve.p) is int
+    assert (ctx, point, curve) == (LocalContext(5, 15), FiberPoint((1, 2, 3, 4, 1), 5), CurveContext())
+    tested = []
+    monkeypatch.setattr(algebra, "is_prime", lambda n, real=is_prime: tested.append(n) or real(n))
+    require_prime(5)
+    tested.clear()
+    colength_profile(ctx, point, 2, -1)
+    assert tested == []
+    for build in (
+        lambda: LocalContext(True, 15),
+        lambda: FiberPoint((1, 0), True),
+        lambda: CurveContext(p=True),
+    ):
+        with pytest.raises(InvalidParameters, match="prime integer"):
+            build()
 
 
 def test_constructors_take_any_iterable():

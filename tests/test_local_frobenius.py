@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -554,6 +555,87 @@ def test_calls_outside_the_memo_keep_no_memory():
     assert after - before < 16 * 1024
 
 
+def _interleaved(points):
+    """Each point twice, in an order where no point follows itself: every
+    remembered element meets a new point at each step and every point
+    again after others."""
+    return points + points[1:] + points[:1]
+
+
+@pytest.mark.parametrize(
+    "p,points",
+    [
+        (3, list(fiber_points(3))),
+        (5, list(fiber_points(5))),
+        (7, _stratified_points(7, 3, 27)),
+    ],
+    ids=["P2(F3)", "P4(F5)", "P6(F7)-sample"],
+)
+def test_remembered_images_match_the_constructor_path(p, points):
+    """At every point, visited interleaved, the image of each remembered
+    tau^m·t^j (m, j < p) equals that of the element rebuilt by the
+    normaliser, which keeps no image; a repeat call at the same point
+    returns the same tuple, so a stale or misplaced entry would show."""
+    ctx = LocalContext.default(p)
+    pairs = [
+        (right_multiply(tau_power(ctx, m), j),
+         element_from_monomials(ctx, shift_right(tau_monomials(m), j)))
+        for m in range(p)
+        for j in range(p)
+    ]
+    for point in _interleaved(points):
+        for remembered, rebuilt in pairs:
+            image = phi_image(remembered, point)
+            assert image == phi_image(rebuilt, point)
+            assert phi_image(remembered, point) is image
+            assert remembered._image[0] is point and rebuilt._image is None
+
+
+def test_a_filled_image_memo_is_invisible_to_equality_hash_and_repr():
+    """A power and a shift whose image memos hold a point compare, hash and
+    repr as elements rebuilt from their fields, and as each other's values
+    before the memo was filled."""
+    ctx = LocalContext.default(5)
+    power = tau_power(ctx, 3)
+    shift = right_multiply(power, 2)
+    before = [(e, hash(e), repr(e)) for e in (power, shift)]
+    colength_profile(ctx, FiberPoint((1, 2, 3, 4, 1), 5), 2, -1)
+    for element, (value, hashed, text) in zip((power, shift), before):
+        assert element._image[0] is not None
+        rebuilt = PullbackElement(element.terms, element.precision, 5)
+        assert element == rebuilt == value
+        assert hash(element) == hash(rebuilt) == hashed
+        assert repr(element) == repr(rebuilt) == text
+
+
+def test_elements_outside_the_memo_keep_no_image():
+    """Powers at p = 127 and their shifts, shifts j >= p of a remembered
+    power at p = 113, and elements built by the constructor keep no
+    image: mapping each of them, all held alive, at two points leaves
+    tracemalloc's current size flat, where kept images would hold about
+    0.5 MB."""
+    big = LocalContext.default(127)
+    ctx = LocalContext.default(113)
+    top = tau_power(ctx, 112)
+    elements = [tau_power(big, m) for m in range(127)]
+    elements += [right_multiply(e, 1) for e in elements]
+    elements += [right_multiply(top, j) for j in range(113, 2 * 113)]
+    elements += [element_from_monomials(ctx, tau_monomials(m)) for m in range(113)]
+    points = {q: [FiberPoint(range(1, q + 1), q), FiberPoint([1] * q, q)] for q in (113, 127)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for point in points[113] + points[127]:
+            for element in elements:
+                if element.modulus == point.modulus:
+                    phi_image(element, point)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 16 * 1024
+    assert all(element._image is None for element in elements)
+
+
 def test_large_precision_keeps_elements_sparse():
     n = 10**6
     ctx = LocalContext(3, n)
@@ -654,6 +736,24 @@ def test_level_degree_matches_filtration_degrees(p, g):
         graded = [deg for _, deg in filtration_degrees(p, g, line_degree)]
         for level in range(p):
             assert level_degree(p, g, line_degree, level) == sum(graded[level:])
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_profile_and_polygon_degrees_match_level_degree(p):
+    """The level degrees that ``colength_profile`` and ``fiber_polygon``
+    write inline are ``level_degree``'s, for g in 2..4 and line degree in
+    -3..3, at one point of each stratum b."""
+    ctx = LocalContext.default(p)
+    points = _stratified_points(p, 1, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        for g, line_degree, point in itertools.product(range(2, 5), range(-3, 4), points):
+            profile = colength_profile(ctx, point, g, line_degree)
+            for level, col in profile.colengths.items():
+                want = level_degree(p, g, line_degree, level) - col
+                assert profile.intersection_degrees[level] == want
+            polygon = fiber_polygon(ctx, point, g, line_degree)
+            assert polygon.endpoint == (p, level_degree(p, g, line_degree, 0) - p)
 
 
 def test_level_degree_refuses_a_level_outside_the_filtration():
