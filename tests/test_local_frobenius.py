@@ -484,16 +484,20 @@ def test_remembered_powers_and_shifts_match_the_constructor_path(p):
 
 
 def test_a_filled_memo_is_invisible_to_equality_hash_and_repr():
-    """A context and a power whose memos are filled compare, hash and repr
-    as values built fresh from the same fields."""
-    ctx = LocalContext.default(5)
-    colength_profile(ctx, FiberPoint((1, 2, 3, 4, 1), 5), 2, -1)
+    """A context, and a power and a shift whose memos and images are
+    filled, compare, hash and repr as values built fresh from the same
+    fields."""
+    ctx, point = LocalContext.default(5), FiberPoint((1, 2, 3, 4, 1), 5)
+    colength_profile(ctx, point, 2, -1)
     fresh = LocalContext.default(5)
     assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
     power = tau_power(ctx, 3)
     assert all(shift is not None for shift in power._shifts[1:])
-    rebuilt = PullbackElement(power.terms, power.precision, 5)
-    assert power == rebuilt and hash(power) == hash(rebuilt) and repr(power) == repr(rebuilt)
+    for element in (power, power._shifts[2]):
+        assert element._image[0] is point
+        rebuilt = PullbackElement(element.terms, element.precision, 5)
+        assert element == rebuilt and hash(element) == hash(rebuilt)
+        assert repr(element) == repr(rebuilt)
 
 
 def _remembered_monomials(ctx):
@@ -589,23 +593,6 @@ def test_remembered_images_match_the_constructor_path(p, points):
             assert image == phi_image(rebuilt, point)
             assert phi_image(remembered, point) is image
             assert remembered._image[0] is point and rebuilt._image is None
-
-
-def test_a_filled_image_memo_is_invisible_to_equality_hash_and_repr():
-    """A power and a shift whose image memos hold a point compare, hash and
-    repr as elements rebuilt from their fields, and as each other's values
-    before the memo was filled."""
-    ctx = LocalContext.default(5)
-    power = tau_power(ctx, 3)
-    shift = right_multiply(power, 2)
-    before = [(e, hash(e), repr(e)) for e in (power, shift)]
-    colength_profile(ctx, FiberPoint((1, 2, 3, 4, 1), 5), 2, -1)
-    for element, (value, hashed, text) in zip((power, shift), before):
-        assert element._image[0] is not None
-        rebuilt = PullbackElement(element.terms, element.precision, 5)
-        assert element == rebuilt == value
-        assert hash(element) == hash(rebuilt) == hashed
-        assert repr(element) == repr(rebuilt) == text
 
 
 def test_elements_outside_the_memo_keep_no_image():
