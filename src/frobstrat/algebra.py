@@ -6,10 +6,14 @@ k[t]/(t^p) (20 rows at p = 5, 42 at p = 7), so plain Python integers are
 the right representation.  No floating point enters anywhere, and
 entries must be integers: a float or a fraction is refused rather than
 truncated.  :func:`require_prime` remembers the last prime it verified,
-so a repeated check costs one comparison.  :data:`WORK_BUDGET` is the
-one bound on how many items a public call may build; the calls whose
-work grows with p refuse before building anything when they would exceed
-it.
+so a repeated check costs one comparison.  :func:`matrix_rank` remembers
+the rows, modulus and echelon of the last matrix it ranked, one rows
+tuple and at most p echelon rows for a colength matrix, so a matrix over
+the same modulus that ends with exactly those rows inserts only its
+leading ones; the colength matrices of one profile nest that way.
+:data:`WORK_BUDGET` is the one bound on how many items a public call may
+build; the calls whose work grows with p refuse before building anything
+when they would exceed it.
 """
 
 from __future__ import annotations
@@ -135,6 +139,11 @@ class FpMatrix(Record):
         return len(self.rows[0])
 
 
+#: (rows, modulus, echelon) of the last matrix :func:`matrix_rank` ranked:
+#: one rows tuple and, as an immutable tuple, at most ``ncols`` echelon rows.
+_last_rank: tuple = ((), None, ())
+
+
 def matrix_rank(m: FpMatrix) -> int:
     """Rank over F_p: the number of rows of a row echelon form.
 
@@ -143,10 +152,29 @@ def matrix_rank(m: FpMatrix) -> int:
     adds its leading column as a new pivot.  Pivot rows are never
     normalised and nothing above a pivot is cleared, and the scan stops
     once every column holds a pivot.
+
+    The rows, modulus and echelon of the last matrix ranked are
+    remembered: one rows tuple and at most ``ncols`` echelon rows (p for a
+    colength matrix).  When a matrix over the same modulus ends with
+    exactly those rows (tuple equality on the suffix), its rank starts
+    from a copy of the stored echelon and inserts only the leading rows,
+    and a stored echelon that is already full answers the width at once.
+    Any other matrix starts from an empty echelon.  The memo is compared
+    by value, so every caller gets the exact rank; a colength profile
+    ranks its levels top-down to meet it (see
+    :func:`~frobstrat.local_frobenius.colength_profile`).
     """
-    p, width = m.modulus, m.ncols
-    echelon: list[tuple[int, int, list[int]]] = []  # (column, 1/pivot, row)
-    for row in m.rows:
+    global _last_rank
+    p, width, rows = m.modulus, m.ncols, m.rows
+    last_rows, last_p, last_echelon = _last_rank
+    cut = len(rows) - len(last_rows)
+    if p == last_p and cut >= 0 and rows[cut:] == last_rows:
+        echelon, rows = list(last_echelon), rows[:cut]
+    else:
+        echelon = []  # (column, 1/pivot, row)
+    for row in rows:
+        if len(echelon) == width:
+            break
         for col, inv, pivot_row in echelon:
             if f := row[col]:
                 f *= inv
@@ -155,7 +183,6 @@ def matrix_rank(m: FpMatrix) -> int:
             if x:
                 echelon.append((lead, pow(x, p - 2, p), row))
                 echelon.sort()
-                if len(echelon) == width:
-                    return width
                 break
+    _last_rank = (m.rows, p, tuple(echelon))
     return len(echelon)

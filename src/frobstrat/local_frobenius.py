@@ -46,7 +46,11 @@ k[t]/(t^p), so membership of a pullback element in V ⊗_A k[[t]] is the
 vanishing of its p image coefficients, and the colengths that locate the
 pullback of a colength-one subsheaf against the filtration levels reduce
 to ranks of small matrices over F_p.  Those ranks drive the polygon
-classification at the end of the module.
+classification at the end of the module.  The matrix of level l ends
+with the rows of level l + 1, so a colength profile ranks its levels
+top-down, from l = p - 1, and each rank after the first inserts only its
+p new rows into the echelon :func:`~frobstrat.algebra.matrix_rank`
+remembers from the level above.
 """
 
 from __future__ import annotations
@@ -449,6 +453,13 @@ def colength_profile(
 ) -> ColengthProfile:
     """Colengths at every level together with the induced degrees.
 
+    The levels are ranked top-down, l = p - 1 first: the rows of level l
+    are p new leading rows followed by the rows of level l + 1, so
+    :func:`~frobstrat.algebra.matrix_rank`, which remembers the echelon
+    of the matrix it ranked last, inserts only those p rows, and a full
+    echelon answers every level below it at once.  ``colengths`` and
+    ``intersection_degrees`` are still keyed in ascending level order.
+
     Refused before any level is built when the tau monomials it shifts,
     p(m + 1) for each level l and power m >= l, p^2(p^2 - 1)/3 in all,
     exceed :data:`~frobstrat.algebra.WORK_BUDGET` (p <= 41 runs, p = 43
@@ -460,7 +471,10 @@ def colength_profile(
     if monomials > algebra.WORK_BUDGET:
         what = f"a colength profile at p = {p} shifts"
         raise _over_budget(what, monomials, "tau monomials")
-    cols = {lv: colength(ctx, point, lv) for lv in range(1, p)}
+    # Top-down: each level's rows end with the rows of the level above,
+    # which matrix_rank has just reduced and remembers.
+    descending = [colength(ctx, point, lv) for lv in range(p - 1, 0, -1)]
+    cols = dict(zip(range(1, p), reversed(descending)))
     # level_degree's closed form, on the ints checked above
     inter = {
         lv: (p - lv) * (line_degree + (genus - 1) * (p + lv - 1)) - col

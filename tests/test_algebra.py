@@ -1,8 +1,10 @@
-"""Primality, the prime memo, the work budget and matrix rank over F_p."""
+"""Primality, the prime memo, the work budget and matrix rank over F_p,
+with its memo of the last echelon."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -208,3 +210,82 @@ def test_matrix_rank_matches_rowspace_oracle_random(data, p):
         for _ in range(nrows)
     )
     assert matrix_rank(FpMatrix(rows, p)) == rowspace_rank(rows, p)
+
+
+#: Most rows a memo test hands the exponential oracle at p: p^rows vectors.
+ORACLE_ROWS = {2: 8, 3: 6, 5: 4, 7: 4}
+
+
+def _rank_checked(rows, p):
+    """Rank ``rows`` over F_p and compare with the oracle."""
+    assert matrix_rank(FpMatrix(rows, p)) == rowspace_rank(rows, p), (rows, p)
+
+
+def _random_rows(rng, p, count, width):
+    return tuple(tuple(rng.randrange(p) for _ in range(width)) for _ in range(count))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_matrix_rank_memo_matches_rowspace_oracle(p):
+    """Seeded (prefix, suffix) row sets: ranking prefix + suffix right after
+    the suffix starts from the suffix's remembered echelon.  Around that
+    order: the same matrix twice, a full-rank suffix, an unrelated matrix
+    ranked in between, and the suffix again after prefix + suffix."""
+    rng, most = random.Random(2800 + p), ORACLE_ROWS[p]
+    for _ in range(80):
+        width = rng.randint(1, 4)
+        suffix = _random_rows(rng, p, rng.randint(1, most - 1), width)
+        prefix = _random_rows(rng, p, rng.randint(0, most - len(suffix)), width)
+        unrelated = _random_rows(rng, p, rng.randint(1, most), width)
+        full = tuple(tuple(int(i == k) for i in range(width)) for k in range(width))
+        orders = (
+            (suffix, prefix + suffix),
+            (suffix, suffix),
+            (full, prefix[: most - width] + full),
+            (suffix, unrelated, prefix + suffix),
+            (suffix, prefix + suffix, suffix),
+        )
+        for order in orders:
+            for rows in order:
+                _rank_checked(rows, p)
+
+
+def test_matrix_rank_memo_leaves_the_stored_echelon_as_it_was():
+    """Ranking P + A after A copies A's remembered echelon: the entry held
+    for A is unchanged afterwards, and A ranks correctly again."""
+    a, prefix = ((1, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 1))
+    _rank_checked(a, 5)
+    rows, p, echelon = algebra._last_rank
+    snapshot = (rows, p, [tuple(entry) for entry in echelon])
+    _rank_checked(prefix + a, 5)
+    assert (rows, p, [tuple(entry) for entry in echelon]) == snapshot
+    _rank_checked(a, 5)
+
+
+@pytest.mark.parametrize("first,second", [(5, 3), (3, 5), (2, 7), (7, 2)])
+def test_matrix_rank_memo_reads_the_modulus(first, second):
+    """Equal rows under another modulus never reuse the echelon: (1, 2),
+    (2, 1) has determinant -3, rank 1 over F_3 and 2 over F_5 and F_7; the
+    cyclic 0/1 rows below have determinant 2, rank 2 over F_2 and 3
+    elsewhere.  Rows with entries below both moduli, equal under each, are
+    then checked with a prefix."""
+    cyclic = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+    for rows in (((1, 2), (2, 1)), cyclic, ((1, 1), (0, 1))):
+        _rank_checked(rows, first)
+        _rank_checked(rows, second)
+    rng, low = random.Random(first * second), min(first, second)
+    for _ in range(80):
+        width = rng.randint(1, 4)
+        suffix = _random_rows(rng, low, rng.randint(1, 2), width)
+        prefix = _random_rows(rng, low, rng.randint(0, 2), width)
+        _rank_checked(suffix, first)
+        _rank_checked(prefix + suffix, second)
+
+
+def test_matrix_rank_memo_holds_one_rows_tuple_and_at_most_width_echelon_rows():
+    for p, width in ((3, 2), (5, 5), (7, 7)):
+        rows = _random_rows(random.Random(p), p, 3 * width, width)
+        matrix_rank(FpMatrix(rows, p))
+        kept_rows, kept_p, echelon = algebra._last_rank
+        assert kept_rows == rows and kept_p == p
+        assert type(echelon) is tuple and len(echelon) <= width

@@ -364,12 +364,45 @@ def _stratified_points(p, per_b, seed):
     ids=["p3-all", "p5-all", "p7-stratified", "p11-stratified", "p13-stratified"],
 )
 def test_colength_matches_closed_form(p, points):
+    """``colength`` level by level, and ``colength_profile``, which ranks its
+    levels top-down, equal the closed form at every level; the profile's
+    two dicts are keyed in ascending level order."""
     ctx = LocalContext.default(p)
     assert {_last_nonzero(pt) for pt in points} == set(range(p))
     for point in points:
         b = _last_nonzero(point)
+        want = {level: closed_form_colength(p, b, level) for level in range(1, p)}
         for level in range(1, p):
-            assert colength(ctx, point, level) == closed_form_colength(p, b, level)
+            assert colength(ctx, point, level) == want[level]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            profile = colength_profile(ctx, point, 2, -1)
+        assert list(profile.colengths.items()) == list(want.items())
+        assert list(profile.intersection_degrees) == list(want)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_each_profile_matrix_ends_with_the_rows_of_the_one_before(p, monkeypatch):
+    """One profile hands matrix_rank p - 1 matrices, level p - 1 first, and
+    each ends with every row of the matrix before it, after p new rows:
+    the suffix matrix_rank remembers.  A reorder of the rows inside
+    colength fails here."""
+    ctx = LocalContext.default(p)
+    matrices = []
+
+    def keep(matrix):
+        matrices.append(matrix.rows)
+        return matrix_rank(matrix)
+
+    monkeypatch.setattr(lf, "matrix_rank", keep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        for point in _stratified_points(p, 1, p):
+            matrices.clear()
+            colength_profile(ctx, point, 2, -1)
+            assert [len(rows) for rows in matrices] == [p * k for k in range(1, p)]
+            for before, rows in zip(matrices, matrices[1:]):
+                assert rows[p:] == before
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
