@@ -471,8 +471,6 @@ def colength_profile(
     if monomials > algebra.WORK_BUDGET:
         what = f"a colength profile at p = {p} shifts"
         raise _over_budget(what, monomials, "tau monomials")
-    # Top-down: each level's rows end with the rows of the level above,
-    # which matrix_rank has just reduced and remembers.
     descending = [colength(ctx, point, lv) for lv in range(p - 1, 0, -1)]
     cols = dict(zip(range(1, p), reversed(descending)))
     # level_degree's closed form, on the ints checked above
