@@ -20,9 +20,10 @@ against the precision, and an image in k[t]/(t^p) reads only the
 monomials with right exponent below p.  The work of the colength path
 therefore grows with the number of terms and not with the precision; the
 dense p × precision grid is built only when ``coeffs`` is read.
-``tau_power``, ``right_multiply`` and ``colength`` build values in normal
-form by construction in place, keeping only their constructor's prime
-check: it repeats one already made, but the benchmark guard counts it.
+``tau_power`` and ``right_multiply`` build each element with the
+constructor, which finds it in normal form; ``colength`` builds its matrix
+of reduced rows in place, keeping only the constructor's prime check: it
+repeats one already made, but the benchmark guard counts it.
 
 A colength profile asks for each tau^m once per level l <= m, and for its
 shifts by j < p each time, at every point, and for the image of each
@@ -229,11 +230,11 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     """Normal form of (t⊗1 - 1⊗t)^m, the generator of filtration level m.
 
     Written down directly: the terms are (k, m - k, (-1)^k C(m, k) mod p)
-    for k = 0..m, already sorted by right exponent.  For 0 <= m <= p - 1
-    this is the normal form for three reasons: every left exponent m - k
-    is below p, so nothing carries across the tensor sign; every right
-    exponent k is below p <= precision/2, so nothing is truncated; and
-    C(m, k) is prime to p, so no term vanishes.
+    for k = 0..m, sorted by right exponent, and the constructor's
+    normaliser leaves them as they are for 0 <= m <= p - 1: every left
+    exponent m - k is below p, so nothing carries across the tensor sign;
+    every right exponent k is below p <= precision/2, so nothing is
+    truncated; and C(m, k) is prime to p, so no term vanishes.
     :func:`element_from_monomials` is the general path it is checked
     against.  The coefficients are built mod p by the rolling product
     c_k = c_(k-1)*(k - 1 - m)/k, so every value stays below p; k <= m < p
@@ -259,11 +260,10 @@ def tau_power(ctx: LocalContext, m: int) -> PullbackElement:
     for k in range(1, m + 1):
         c = c * (k - 1 - m) * pow(k, -1, p) % p
         terms.append((k, m - k, c))
-    require_prime(p)
-    power = object.__new__(PullbackElement)
-    power.__dict__.update(terms=tuple(terms), precision=ctx.precision, modulus=p)
+    power = PullbackElement(terms, ctx.precision, p)
     if powers is not None:
-        power.__dict__.update(_shifts=[None] * p, _image=(None, None))
+        object.__setattr__(power, "_shifts", [None] * p)
+        object.__setattr__(power, "_image", (None, None))
         powers[m] = power
     return power
 
@@ -273,10 +273,11 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
 
     Raises :class:`PrecisionExhausted` if any nonzero coefficient would be
     pushed to a right exponent at or past the precision, so results are
-    never silently wrong.  A power remembered by its context (see
-    :func:`tau_power`) remembers its shifts by 0 < j < p: a repeat call
-    makes every check and the prime check, then returns the same object,
-    which keeps its last image (see :func:`phi_image`).
+    never silently wrong; shifted terms stay in normal form.  A power
+    remembered by its context (see :func:`tau_power`) remembers its shifts
+    by 0 < j < p: a repeat call makes every check and the prime check,
+    then returns the same object, which keeps its last image (see
+    :func:`phi_image`).
     """
     if type(j) is not int:
         j = _checked_int(j)
@@ -290,16 +291,13 @@ def right_multiply(element: PullbackElement, j: int) -> PullbackElement:
             f"shift by {j} overflows precision {n}; rebuild the context "
             "with a larger precision"
         )
-    require_prime(p)
     shifts = element._shifts if j < p else None
     if shifts is not None and (shifted := shifts[j]) is not None:
+        require_prime(p)
         return shifted
-    shifted = object.__new__(PullbackElement)
-    attrs = shifted.__dict__
-    attrs["terms"] = tuple([(right + j, left, c) for right, left, c in terms])
-    attrs["precision"], attrs["modulus"] = n, p
+    shifted = PullbackElement([(right + j, left, c) for right, left, c in terms], n, p)
     if shifts is not None:
-        attrs["_image"] = (None, None)
+        object.__setattr__(shifted, "_image", (None, None))
         shifts[j] = shifted
     return shifted
 
@@ -338,7 +336,7 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> tuple[int, ...]:
         coeffs[right] = (coeffs[right] + lams[left] * c) % p
     image = tuple(coeffs)
     if memo is not None:
-        element.__dict__["_image"] = (point, image)
+        object.__setattr__(element, "_image", (point, image))
     return image
 
 
@@ -414,7 +412,8 @@ def colength(ctx: LocalContext, point: FiberPoint, level: int) -> int:
     # (p - level)·p >= p reduced rows of width p: the dimension checks hold
     require_prime(p)
     matrix = object.__new__(FpMatrix)
-    matrix.__dict__.update(rows=rows, modulus=p)
+    object.__setattr__(matrix, "rows", rows)
+    object.__setattr__(matrix, "modulus", p)
     return matrix_rank(matrix)
 
 
@@ -439,12 +438,16 @@ def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
     """Degree of filtration level ``level``: the sum of its graded degrees
     line_degree + m(2g - 2) over level <= m < p, in closed form (level 0 is
     the pulled-back direct image).  ``p`` is checked to be an integer >= 2,
-    not a prime.  :func:`colength_profile` and :func:`fiber_polygon` write
-    this closed form inline, on the ints they have checked."""
+    not a prime."""
     p, genus = _checked_int(p, "p", 2), _checked_int(genus, "genus", 2)
     line_degree, level = _checked_int(line_degree), _checked_int(level)
     if not 0 <= level <= p - 1:
         raise InvalidLevel(f"level must lie in [0, {p - 1}], got {level}")
+    return _level_degree(p, genus, line_degree, level)
+
+
+def _level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
+    """:func:`level_degree` on arguments its caller has checked."""
     return (p - level) * (line_degree + (genus - 1) * (p + level - 1))
 
 
@@ -473,17 +476,12 @@ def colength_profile(
         raise _over_budget(what, monomials, "tau monomials")
     descending = [colength(ctx, point, lv) for lv in range(p - 1, 0, -1)]
     cols = dict(zip(range(1, p), reversed(descending)))
-    # level_degree's closed form, on the ints checked above
-    inter = {
-        lv: (p - lv) * (line_degree + (genus - 1) * (p + lv - 1)) - col
-        for lv, col in cols.items()
-    }
+    inter = {lv: _level_degree(p, genus, line_degree, lv) - col for lv, col in cols.items()}
     profile = object.__new__(ColengthProfile)
-    profile.__dict__.update(
-        colengths=cols,
-        intersection_degrees=inter,
-        extrapolated=(p, genus, line_degree) != REFERENCE_PARAMETERS,
-    )
+    object.__setattr__(profile, "colengths", cols)
+    object.__setattr__(profile, "intersection_degrees", inter)
+    extrapolated = (p, genus, line_degree) != REFERENCE_PARAMETERS
+    object.__setattr__(profile, "extrapolated", extrapolated)
     return profile
 
 
@@ -517,7 +515,6 @@ def fiber_polygon(
     chain = [(0, 0)]
     for lv in range(p - 1, 0, -1):
         chain.append((p - lv, profile.intersection_degrees[lv]))
-    # a colength-one subsheaf pulls back to degree p below level 0's,
-    # p(line_degree + (g - 1)(p - 1)) by level_degree's closed form
-    chain.append((p, p * (line_degree + (genus - 1) * (p - 1) - 1)))
+    # a colength-one subsheaf pulls back to degree p below level 0's
+    chain.append((p, _level_degree(p, genus, line_degree, 0) - p))
     return make_polygon(_upper_hull(chain))

@@ -16,15 +16,17 @@ class Record:
     deleting an attribute raises.  The generic constructor binds arguments
     to fields like a call signature, then runs ``__post_init__`` if the
     class has one; a check there may normalise a field with
-    :func:`object.__setattr__`.  Five hot calls build a value whose fields
-    are in normal form by construction in place, with only the checks
-    their callers have not made: ``local_frobenius.tau_power``,
-    ``right_multiply``, ``colength`` and ``colength_profile``, and
+    :func:`object.__setattr__`.  Three hot calls build a value in normal
+    form without the constructor, skipping the checks their callers have
+    made: ``local_frobenius.colength`` and ``colength_profile``, and
     ``polygons.make_polygon``.  The fields are the whole value but for
     two memos: a ``LocalContext`` and the tau powers it builds remember
     the powers and shifts already built, and each remembered power and
     shift its image at the last point, in non-field attributes that no
-    field, equality, hash or repr reads.
+    field, equality, hash or repr reads.  These fields and attributes are
+    set with :func:`object.__setattr__` too, never through the instance's
+    ``__dict__``: reading it gives the instance a dict of its own in place
+    of its inline values, which costs memory and slows every later read.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:

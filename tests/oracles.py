@@ -30,7 +30,17 @@ from frobstrat.polygons import height, make_polygon, slope_gaps, slopes
 
 
 def rowspace_rank(rows, p):
-    """Rank as log_p of the number of distinct row-space vectors."""
+    """Rank as log_p of the number of distinct row-space vectors.
+
+    Refused with :class:`ValueError` before it enumerates more than 10^5
+    combinations of the rows (p^rows), so a test that hands it a matrix
+    too large fails at once instead of running for hours."""
+    count = p ** len(rows)
+    if count > 10**5:
+        raise ValueError(
+            f"rowspace_rank would enumerate {p}^{len(rows)} = {count} "
+            "combinations, more than 10^5"
+        )
     ncols = len(rows[0])
     vectors = set()
     for coefs in itertools.product(range(p), repeat=len(rows)):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,15 @@ def test_matrix_rank_matches_rowspace_oracle_random(data, p):
         for _ in range(nrows)
     )
     assert matrix_rank(FpMatrix(rows, p)) == rowspace_rank(rows, p)
+
+
+def test_rowspace_oracle_refuses_before_enumerating_too_much():
+    """7^17 combinations would take hours; the oracle refuses them at once."""
+    rows = ((1,) * 7,) * 17
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"7\^17 = 232630513987207 combinations"):
+        rowspace_rank(rows, 7)
+    assert time.perf_counter() - start < 0.1
 
 
 #: Most rows a memo test hands the exponential oracle at p: p^rows vectors.

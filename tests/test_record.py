@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import frobstrat
 from frobstrat.algebra import FpMatrix
 from frobstrat.local_frobenius import (
     ColengthProfile,
@@ -105,3 +109,44 @@ def test_a_polygon_from_the_trusted_path_is_a_full_record():
     with pytest.raises(AttributeError):
         made.extra = 1
     assert made == built
+
+
+def _instance_dict_sites(tree):
+    """Lines that reach an instance's ``__dict__``: every ``x.__dict__``
+    but ``cls.__dict__``, the class dict that ``Record`` reads its field
+    defaults from.  Writing through an alias (``d = x.__dict__; d[k] = v``)
+    starts with such a read, so it is caught too."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__dict__"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "cls")
+    )
+
+
+def test_the_dict_check_sees_every_form():
+    source = (
+        "a.__dict__['x'] = 1\n"
+        "a.__dict__.update(x=1)\n"
+        "a.__dict__ = {}\n"
+        "attrs = a.b.__dict__\n"
+        "del a.__dict__['x']\n"
+        "names = cls.__dict__\n"
+        "object.__setattr__(a, 'x', 1)\n"
+        "d.update(x=1)\n"
+    )
+    assert _instance_dict_sites(ast.parse(source)) == [1, 2, 3, 4, 5]
+
+
+def test_no_source_file_touches_an_instance_dict():
+    """Fields of a trusted build and memo attributes are set with
+    ``object.__setattr__``: reaching into an instance's ``__dict__`` gives
+    it a dict of its own and slows every later attribute read on it."""
+    src = Path(frobstrat.__file__).resolve().parent
+    sites = {
+        path.name: lines
+        for path in sorted(src.glob("*.py"))
+        if (lines := _instance_dict_sites(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert sites == {}
