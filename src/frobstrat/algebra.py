@@ -10,7 +10,9 @@ so a repeated check costs one comparison.  :func:`matrix_rank` remembers
 the rows, modulus and echelon of the last matrix it ranked, one rows
 tuple and at most p echelon rows for a colength matrix, so a matrix over
 the same modulus that ends with exactly those rows inserts only its
-leading ones; the colength matrices of one profile nest that way.
+leading ones; the colength matrices of one profile nest that way.  A
+zero row skips the reduction and a row that reduces to zero the search
+for its lead.
 :data:`WORK_BUDGET` is the one bound on how many items a public call may
 build; the calls whose work grows with p refuse before building anything
 when they would exceed it.
@@ -149,9 +151,11 @@ def matrix_rank(m: FpMatrix) -> int:
 
     Rows join the echelon one at a time, each reduced first against the
     rows already there in increasing pivot column; a row that survives
-    adds its leading column as a new pivot.  Pivot rows are never
-    normalised and nothing above a pivot is cleared, and the scan stops
-    once every column holds a pivot.
+    adds its leading column as a new pivot.  An all-zero row skips the
+    reduction and a row that reduces to zero skips the search for its
+    lead, each after one ``any``.  Pivot rows are never normalised and
+    nothing above a pivot is cleared, and the scan stops once every
+    column holds a pivot.
 
     The rows, modulus and echelon of the last matrix ranked are
     remembered: one rows tuple and at most ``ncols`` echelon rows (p for a
@@ -175,10 +179,14 @@ def matrix_rank(m: FpMatrix) -> int:
     for row in rows:
         if len(echelon) == width:
             break
+        if not any(row):
+            continue
         for col, inv, pivot_row in echelon:
             if f := row[col]:
                 f *= inv
                 row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        if not any(row):
+            continue
         for lead, x in enumerate(row):
             if x:
                 echelon.append((lead, pow(x, p - 2, p), row))

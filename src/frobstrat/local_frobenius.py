@@ -31,9 +31,12 @@ shift at its point once per level.  So a context remembers every tau^m
 it builds, and each remembered power remembers its right shifts by
 0 < j < p; a repeat call runs all its checks, then returns the same
 object.  Each remembered power and shift also keeps its image at the
-last point it was mapped at, so the p(p - 1) distinct images of a
-profile are each computed once, and a call at another point replaces
-the entry.  Both memos live in non-field attributes, so no field,
+last point it was mapped at, and a call at another point replaces the
+entry.  A power's new image fills its shifts too: the image of tau^m t^j
+is that of tau^m moved j places right, so each shift already built that
+does not hold this point takes it.  ``colength`` asks for j = 0 first,
+so once the shifts are built a profile sums the terms of its p - 1
+powers and derives the other (p - 1)^2 images.  Both memos live in non-field attributes, so no field,
 equality, hash or repr reads them, and they die with their context.
 They are kept only where the whole table of powers and shifts,
 p^2(p + 1)/2 monomials, fits :data:`~frobstrat.algebra.WORK_BUDGET`
@@ -128,7 +131,10 @@ class PullbackElement(Record):
     constructor brings any sum of monomials (j, i, c) with nonnegative
     integer exponents to this form: it moves t^p across the tensor sign
     until i < p, truncates at the precision, and combines like monomials
-    mod p, dropping zeros.  Normal form is unique, so the fields decide
+    mod p, dropping zeros.  It gathers the checked terms in one list,
+    keeping each triple of exact ints already in normal form as the
+    caller's object, sorts the list and merges equal neighbours, so it
+    holds its input about once.  Normal form is unique, so the fields decide
     equality of elements, and the colength path costs time in the number
     of terms, never in the precision.  ``coeffs`` is the dense p ×
     precision view, ``coeffs[i][j]`` the coefficient of t^i ⊗ t^j, built
@@ -150,17 +156,37 @@ class PullbackElement(Record):
         p = self.modulus
         require_prime(p)
         n = _checked_int(self.precision, "precision", 0)
-        sums: dict[tuple[int, int], int] = {}
-        for right, left, coef in self.terms:
+        # One list of checked, carried and truncated terms; a term that is
+        # already a triple of exact ints in normal form is kept as given.
+        checked = []
+        for term in self.terms:
+            if type(term) is tuple and len(term) == 3:
+                right, left, coef = term
+                if (type(right) is int and type(left) is int and type(coef) is int
+                        and 0 <= right < n and 0 <= left < p and 0 < coef < p):
+                    checked.append(term)
+                    continue
+            right, left, coef = term
             right = _checked_int(right, "right exponent", 0)
             left = _checked_int(left, "left exponent", 0)
-            coef = _checked_int(coef)
+            coef = _checked_int(coef) % p
             carry, left = divmod(left, p)
             right += p * carry
-            if right < n:
-                sums[right, left] = (sums.get((right, left), 0) + coef) % p
-        normal = tuple((right, left, c) for (right, left), c in sorted(sums.items()) if c)
-        object.__setattr__(self, "terms", normal)
+            if right < n and coef:
+                checked.append((right, left, coef))
+        checked.sort()
+        # Like monomials are neighbours now: merge them mod p, then drop
+        # the sums that vanish.
+        normal, merged = [], False
+        for term in checked:
+            if normal and term[0] == normal[-1][0] and term[1] == normal[-1][1]:
+                normal[-1] = (term[0], term[1], (normal[-1][2] + term[2]) % p)
+                merged = True
+            else:
+                normal.append(term)
+        if merged:
+            normal = [term for term in normal if term[2]]
+        object.__setattr__(self, "terms", tuple(normal))
         object.__setattr__(self, "precision", n)
 
     @property
@@ -314,7 +340,11 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> tuple[int, ...]:
     was mapped at: a repeat call with that same object makes every check
     and the prime check, then returns the same tuple.  A call at another
     point computes the image and replaces the entry; other elements keep
-    nothing.
+    nothing.  A remembered power that computes an image also writes
+    (point, (0,) * j + image[:p - j]), the image of its shift by j, onto
+    each shift already built whose entry holds another point; an entry
+    already at this point is left alone, so a repeat call on that shift
+    still returns its own tuple.
     """
     if element.modulus != point.modulus:
         raise ModulusMismatch(
@@ -337,6 +367,14 @@ def phi_image(element: PullbackElement, point: FiberPoint) -> tuple[int, ...]:
     image = tuple(coeffs)
     if memo is not None:
         object.__setattr__(element, "_image", (point, image))
+        shifts = element._shifts
+        if shifts is not None:
+            # the shift by j has image (0,) * j + image[:p - j], a window of padded
+            padded = (0,) * p + image
+            for j in range(1, p):
+                shifted = shifts[j]
+                if shifted is not None and shifted._image[0] is not point:
+                    object.__setattr__(shifted, "_image", (point, padded[p - j:2 * p - j]))
     return image
 
 

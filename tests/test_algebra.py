@@ -260,6 +260,56 @@ def test_matrix_rank_memo_matches_rowspace_oracle(p):
                 _rank_checked(rows, p)
 
 
+def _rows_with_skips(rng, p, count, width, before=()):
+    """``count`` seeded rows, each a zero row, a combination of ``before``
+    and the rows already drawn (it reduces to zero), or a random row."""
+    rows = []
+    for _ in range(count):
+        span = list(before) + rows
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append((0,) * width)
+        elif kind == 1 and span:
+            coefs = [rng.randrange(p) for _ in span]
+            rows.append(tuple(sum(c * row[k] for c, row in zip(coefs, span)) % p
+                              for k in range(width)))
+        else:
+            rows.append(tuple(rng.randrange(p) for _ in range(width)))
+    return tuple(rows)
+
+
+def _skips_then_pivots(echelon_rows, rows, p):
+    """Whether some row of ``rows``, inserted in order after
+    ``echelon_rows``, reduces to zero and the next one adds a pivot."""
+    ranks = [rowspace_rank(echelon_rows + rows[:i], p) if echelon_rows or i else 0
+             for i in range(len(rows) + 1)]
+    return any(ranks[i] == ranks[i + 1] < ranks[i + 2] for i in range(len(rows) - 1))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_matrix_rank_skips_zero_rows_and_rows_that_reduce_to_zero(p):
+    """Seeded matrices whose rows are zero, combinations of the rows before
+    them, or random: each ranks alone and then as the suffix of a larger
+    matrix, whose leading rows are drawn the same way against it (the
+    memo path).  A skipped row is followed by a row that adds a pivot, so
+    a skip that ended the scan would show."""
+    zero, e1, e2, minus_e1 = (0, 0, 0), (1, 0, 0), (0, 1, 0), (p - 1, 0, 0)
+    _rank_checked((zero, e1, minus_e1, e2), p)
+    _rank_checked((e2,), p)  # then the same skips on the memo path
+    _rank_checked((zero, e1, minus_e1, e2), p)
+    rng, most = random.Random(3100 + p), ORACLE_ROWS[p]
+    alone = memo = 0  # matrices where a skipped row is followed by a pivot
+    for _ in range(80):
+        width = rng.randint(2, 4)
+        suffix = _rows_with_skips(rng, p, rng.randint(1, most - 1), width)
+        prefix = _rows_with_skips(rng, p, rng.randint(1, most - len(suffix)), width, suffix)
+        _rank_checked(suffix, p)
+        _rank_checked(prefix + suffix, p)
+        alone += _skips_then_pivots((), suffix, p)
+        memo += _skips_then_pivots(suffix, prefix, p)
+    assert alone >= 5 and memo >= 5
+
+
 def test_matrix_rank_memo_leaves_the_stored_echelon_as_it_was():
     """Ranking P + A after A copies A's remembered echelon: the entry held
     for A is unchanged afterwards, and A ranks correctly again."""

@@ -628,6 +628,83 @@ def test_remembered_images_match_the_constructor_path(p, points):
             assert remembered._image[0] is point and rebuilt._image is None
 
 
+def _fill_cases(p):
+    """A fresh context, a power tau^m with 0 < m < p, a shift j of it with
+    0 < j < p, and two distinct seeded points A and B, for every (m, j)."""
+    rng = random.Random(3000 + p)
+    points = fiber_points(p) if p < 7 else _stratified_points(p, 3, 3000)
+    for m in range(1, p):
+        for j in range(1, p):
+            a, b = rng.sample(points, 2)
+            ctx = LocalContext.default(p)
+            yield ctx, m, j, a, b
+
+
+def _rebuilt_image(ctx, m, j, point):
+    """Image of tau^m·t^j built by the normaliser, which keeps no image."""
+    return phi_image(element_from_monomials(ctx, shift_right(tau_monomials(m), j)), point)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_a_shift_imaged_before_its_power_takes_the_powers_next_image(p):
+    """A shift imaged at A keeps A while its power is imaged at A, and
+    takes the power's image at B, shifted by j, when the power moves on."""
+    for ctx, m, j, a, b in _fill_cases(p):
+        power = tau_power(ctx, m)
+        shift = right_multiply(power, j)
+        first = phi_image(shift, a)
+        assert first == _rebuilt_image(ctx, m, j, a)
+        assert phi_image(power, a) == _rebuilt_image(ctx, m, 0, a)
+        assert shift._image == (a, first) and shift._image[1] is first
+        assert phi_image(power, b) == _rebuilt_image(ctx, m, 0, b)
+        assert shift._image[0] is b
+        assert phi_image(shift, b) == _rebuilt_image(ctx, m, j, b)
+        assert phi_image(shift, a) == first
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_a_power_reimaged_elsewhere_moves_the_shift_that_holds_the_old_point(p):
+    """A power imaged at A fills its shift at A; imaged again at B, it
+    replaces the shift's entry for A with the image at B."""
+    for ctx, m, j, a, b in _fill_cases(p):
+        power = tau_power(ctx, m)
+        shift = right_multiply(power, j)
+        phi_image(power, a)
+        assert shift._image[0] is a
+        assert phi_image(shift, a) == _rebuilt_image(ctx, m, j, a)
+        phi_image(power, b)
+        assert shift._image[0] is b
+        assert phi_image(shift, b) == _rebuilt_image(ctx, m, j, b)
+        assert phi_image(shift, a) == _rebuilt_image(ctx, m, j, a)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_a_shift_imaged_again_after_its_power_returns_the_same_tuple(p):
+    """Shift at A, then its power at A, then the shift at A again: the
+    fill leaves the shift's entry alone, so the last call returns the
+    very tuple the first made."""
+    for ctx, m, j, a, _ in _fill_cases(p):
+        power = tau_power(ctx, m)
+        shift = right_multiply(power, j)
+        first = phi_image(shift, a)
+        phi_image(power, a)
+        assert phi_image(shift, a) is first
+        assert first == _rebuilt_image(ctx, m, j, a)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_a_shift_built_after_its_powers_image_computes_its_own(p):
+    """A shift first built after its power was imaged holds no image yet,
+    and computes the right one at the power's point and at another."""
+    for ctx, m, j, a, b in _fill_cases(p):
+        power = tau_power(ctx, m)
+        phi_image(power, a)
+        shift = right_multiply(power, j)
+        assert shift._image == (None, None)
+        assert phi_image(shift, a) == _rebuilt_image(ctx, m, j, a)
+        assert phi_image(shift, b) == _rebuilt_image(ctx, m, j, b)
+
+
 def test_elements_outside_the_memo_keep_no_image():
     """Powers at p = 127 and their shifts, shifts j >= p of a remembered
     power at p = 113, and elements built by the constructor keep no
@@ -692,6 +769,39 @@ def test_work_budget_gates_fall_where_documented(child_env):
     assert len(tau_power(LocalContext.default(577), 1).coeffs) == 577
     with pytest.raises(InvalidParameters, match="1033707 cells"):
         tau_power(LocalContext.default(587), 1).coeffs
+
+
+def test_the_largest_tau_power_holds_its_terms_about_once(child_env):
+    """tau^999999 at p = 1,000,003 goes through the normaliser, which keeps
+    the caller's triples and one list of them: the child's peak RSS
+    (``VmHWM``) stays under 300 MiB, where a dict of (right, left) keys
+    and a sorted copy of its items took it to about 500 MiB."""
+    code = (
+        "from frobstrat.local_frobenius import LocalContext, tau_power\n"
+        "print(len(tau_power(LocalContext.default(1000003), 999999).terms))\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(*[l.split()[1] for l in status if l.startswith('VmHWM:')])\n"
+    )
+    proc = _run_capped(child_env, "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, hwm_kib = proc.stdout.split()
+    assert count == "1000000"
+    assert int(hwm_kib) / 1024 < 300
+
+
+def test_normaliser_keeps_a_normal_triple_and_rebuilds_every_other_term():
+    """A triple of exact ints in normal form is kept as the caller's object;
+    anything else (a list, a bool, a carry, a repeat) is checked and
+    rebuilt, and like monomials merge mod p, vanishing sums dropped."""
+    kept = (1, 2, 3)
+    e = PullbackElement([(4, 0, 1), kept, [0, 1, 1], (0, 1, True), (0, 5, 2)], 6, 5)
+    assert e.terms == ((0, 1, 2), (1, 2, 3), (4, 0, 1), (5, 0, 2))
+    assert e.terms[1] is kept
+    assert PullbackElement([(0, 0, 2), (0, 0, 1), (0, 0, 2), (1, 0, 4)], 4, 5).terms == (
+        (1, 0, 4),
+    )
+    assert PullbackElement([(0, 0, 2), (0, 0, 3), (0, 0, 4)], 4, 5).terms == ((0, 0, 4),)
+    assert PullbackElement([(3, 0, 1), (0, 7, 1), (1, 1, 5)], 4, 5).terms == ((3, 0, 1),)
 
 
 def test_unreduced_constructors_keep_their_checks():
