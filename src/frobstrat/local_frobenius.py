@@ -36,11 +36,12 @@ entry.  A power's new image fills its shifts too: the image of tau^m t^j
 is that of tau^m moved j places right, so each shift already built that
 does not hold this point takes it.  ``colength`` asks for j = 0 first,
 so once the shifts are built a profile sums the terms of its p - 1
-powers and derives the other (p - 1)^2 images.  Both memos live in non-field attributes, so no field,
-equality, hash or repr reads them, and they die with their context.
-They are kept only where the whole table of powers and shifts,
-p^2(p + 1)/2 monomials, fits :data:`~frobstrat.algebra.WORK_BUDGET`
-(p <= 113, the bound of a level-1 colength).
+powers and derives the other (p - 1)^2 images.  Both memos live in
+non-field attributes, so no field, equality, hash or repr reads them,
+and they die with their context.  They are kept only where the whole
+table of powers and shifts, p^2(p + 1)/2 monomials, fits
+:data:`~frobstrat.algebra.WORK_BUDGET` (p <= 113, the bound of a
+level-1 colength).
 
 A colength-one A-submodule V of k[[t]] is named by a point (λ0 : ... :
 λ_{p-1}) of P^{p-1}: V is the kernel of the functional sending a series to
@@ -134,9 +135,9 @@ class PullbackElement(Record):
     mod p, dropping zeros.  It gathers the checked terms in one list,
     keeping each triple of exact ints already in normal form as the
     caller's object, sorts the list and merges equal neighbours, so it
-    holds its input about once.  Normal form is unique, so the fields decide
-    equality of elements, and the colength path costs time in the number
-    of terms, never in the precision.  ``coeffs`` is the dense p ×
+    holds its input about once.  Normal form is unique, so the fields
+    decide equality of elements, and the colength path costs time in the
+    number of terms, never in the precision.  ``coeffs`` is the dense p ×
     precision view, ``coeffs[i][j]`` the coefficient of t^i ⊗ t^j, built
     only when it is read and refused when its p × precision cells exceed
     :data:`~frobstrat.algebra.WORK_BUDGET`.
@@ -177,16 +178,13 @@ class PullbackElement(Record):
         checked.sort()
         # Like monomials are neighbours now: merge them mod p, then drop
         # the sums that vanish.
-        normal, merged = [], False
+        normal = []
         for term in checked:
             if normal and term[0] == normal[-1][0] and term[1] == normal[-1][1]:
                 normal[-1] = (term[0], term[1], (normal[-1][2] + term[2]) % p)
-                merged = True
             else:
                 normal.append(term)
-        if merged:
-            normal = [term for term in normal if term[2]]
-        object.__setattr__(self, "terms", tuple(normal))
+        object.__setattr__(self, "terms", tuple(term for term in normal if term[2]))
         object.__setattr__(self, "precision", n)
 
     @property
