@@ -20,10 +20,12 @@ then built by a trusted constructor that checks nothing again.  The walk
 keeps each slope as an integer pair (num, den > 0) and each degree window
 as floor divisions, pruned to the chains that can still close within both
 the spread and the slope drops still to come.  It sorts its polygons by
-one exact int per polygon read off their heights, whose integral values
-are built from ints.  A vertex pair that is already a tuple of two exact
-ints is kept, not copied, so the walk's polygons share their pairs with
-its chain.
+one exact int per polygon read off their heights: one pass over the
+vertices gives the heights at the integer abscissae, an int at each
+vertex and a running numerator over the run inside a segment, and the
+key reads each height once as a numerator and a denominator.  A vertex
+pair that is already a tuple of two exact ints is kept, not copied, so
+the walk's polygons share their pairs with its chain.
 """
 
 from __future__ import annotations
@@ -195,26 +197,35 @@ def height(pg: LatticePolygon, x) -> Fraction:
 
 def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Heights at the integer abscissae 0, 1, ..., rank, in one pass over
-    the segments: y0 at the start x0 of the segment from (x0, y0) with run
-    dx and rise dy, (y0*dx + dy*k)/dx at x0 + k for 0 < k < dx, then the
-    endpoint's degree.  Every vertex height, so every height of a run-1
-    segment, is an int and becomes ``Fraction(y)`` without a gcd; only the
-    interior abscissae of longer runs pass a numerator and a denominator.
-    Each height is a :class:`~fractions.Fraction`.  Refused when the
-    rank + 1 abscissae exceed :data:`~frobstrat.algebra.WORK_BUDGET`."""
+    the vertices by index: y0 at the start x0 of the segment from (x0, y0)
+    with run dx and rise dy, then (y0*dx + k*dy)/dx at x0 + k for
+    0 < k < dx, its numerator kept as a running sum that gains dy per
+    step, then the endpoint's degree.  Every vertex height, so every
+    height of a run-1 segment, is an int and becomes ``Fraction(y)``
+    without a gcd; only the interior abscissae of longer runs pass a
+    numerator and a denominator.  Each height is a
+    :class:`~fractions.Fraction`.  Refused, before any height is built,
+    when the rank + 1 abscissae exceed
+    :data:`~frobstrat.algebra.WORK_BUDGET`."""
     from fractions import Fraction
     verts = pg.vertices
     n = verts[-1][0] + 1
     if n > algebra.WORK_BUDGET:
         raise _over_budget(f"a polygon of rank {n - 1} has", n, "integer abscissae")
     heights: list[Fraction] = []
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        heights.append(Fraction(y0))
+    append = heights.append
+    x0, y0 = verts[0]
+    for i in range(1, len(verts)):
+        x1, y1 = verts[i]
+        append(Fraction(y0))
         dx = x1 - x0
         if dx > 1:
-            dy = y1 - y0
-            heights += [Fraction(y0 * dx + dy * k, dx) for k in range(1, dx)]
-    heights.append(Fraction(verts[-1][1]))
+            num, dy = y0 * dx, y1 - y0
+            for _ in range(1, dx):
+                num += dy
+                append(Fraction(num, dx))
+        x0, y0 = x1, y1
+    append(Fraction(y0))
     return tuple(heights)
 
 
@@ -378,21 +389,23 @@ def enumerate_frobenius_polygons(
     finally:  # extensions refers to itself: free its cells without the collector
         del extensions
     # The sort holds every key at once, so each is one int, not r + 1.
-    # Each height times scale is an int, and minus low it lies in
-    # [0, base - 1], so a height vector reads as the base-``base`` digits of
-    # one int, ordered as the vectors are.  Proof: a concave polygon lies
-    # on or above its chord, which is >= min(0, total) on [0, r].  Its
+    # Each height times scale is an int v, and v - low lies in
+    # [0, base - 1], so a height vector reads as the base-``base`` digits
+    # of one int, ordered as the vectors are.  Proof: a concave polygon
+    # lies on or above its chord, which is >= min(0, total) on [0, r].  Its
     # first slope s1 is at most the chord slope total/r plus the spread, as
     # the last slope is at most total/r; so its height at x is at most
-    # x*s1 <= x*total/r + x*spread <= max(0, total) + r*spread.
+    # x*s1 <= x*total/r + x*spread <= max(0, total) + r*spread.  The key
+    # sums the digits v, not v - low: that shifts every key by the same
+    # low*(base**(r + 1) - 1)/(base - 1), so it keeps their order.
     scale = lcm(*range(1, r + 1))  # a multiple of every segment run
-    low = min(0, total) * scale
     base = scale * (abs(total) + r * spread) + 1
 
     def key(pg):
         k = 0
         for h in integer_heights(pg):
-            k = k * base + h.numerator * (scale // h.denominator) - low
+            num, den = h.as_integer_ratio()
+            k = k * base + num * (scale // den)
         return k
 
     found.sort(key=key)
