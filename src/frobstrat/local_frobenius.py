@@ -135,7 +135,8 @@ class PullbackElement(Record):
     mod p, dropping zeros.  It gathers the checked terms in one list,
     keeping each triple of exact ints already in normal form as the
     caller's object, sorts the list and merges equal neighbours, so it
-    holds its input about once.  Normal form is unique, so the fields
+    holds its input about once.  ``modulus`` and ``precision`` are stored
+    as the exact ints they index to.  Normal form is unique, so the fields
     decide equality of elements, and the colength path costs time in the
     number of terms, never in the precision.  ``coeffs`` is the dense p ×
     precision view, ``coeffs[i][j]`` the coefficient of t^i ⊗ t^j, built
@@ -154,8 +155,8 @@ class PullbackElement(Record):
     _image = None
 
     def __post_init__(self) -> None:
-        p = self.modulus
-        require_prime(p)
+        require_prime(self.modulus)
+        p = _checked_int(self.modulus)  # an exact int, which require_prime remembers
         n = _checked_int(self.precision, "precision", 0)
         # One list of checked, carried and truncated terms; a term that is
         # already a triple of exact ints in normal form is kept as given.
@@ -186,6 +187,7 @@ class PullbackElement(Record):
                 normal.append(term)
         object.__setattr__(self, "terms", tuple(term for term in normal if term[2]))
         object.__setattr__(self, "precision", n)
+        object.__setattr__(self, "modulus", p)
 
     @property
     def coeffs(self) -> tuple[tuple[int, ...], ...]:
