@@ -20,6 +20,7 @@ from frobstrat.local_frobenius import (
     element_from_monomials,
     fiber_polygon,
     level_degree,
+    phi_image,
     right_multiply,
     submodule_contains_monomial,
     tau_power,
@@ -184,6 +185,25 @@ def test_contexts_and_points_store_p_as_an_exact_int(monkeypatch):
     ):
         with pytest.raises(InvalidParameters, match="prime integer"):
             build()
+
+
+def test_pullback_elements_store_their_modulus_as_an_exact_int(monkeypatch):
+    """A ``PullbackElement`` built with a prime given as an int subclass
+    stores the exact int it indexes to: it reprs as the element built with
+    that int, and after the constructor's one primality test the
+    ``require_prime`` memo answers the check of every ``phi_image`` on it."""
+    tested = []
+    monkeypatch.setattr(algebra, "is_prime", lambda n, real=is_prime: tested.append(n) or real(n))
+    point = FiberPoint((1, 2, 3, 4, 1), 5)  # 5 is now the remembered prime
+    tested.clear()
+    element = PullbackElement([(0, 1, 1)], 15, _Prime.FIVE)
+    assert tested == [5]  # the constructor's check of the int subclass
+    assert type(element.modulus) is int and repr(element).endswith("modulus=5)")
+    assert repr(element) == repr(PullbackElement([(0, 1, 1)], 15, 5))
+    tested.clear()
+    for _ in range(10):
+        assert phi_image(element, point) == (2, 0, 0, 0, 0)
+    assert tested == []
 
 
 def test_constructors_take_any_iterable():

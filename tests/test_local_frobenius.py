@@ -38,7 +38,12 @@ from frobstrat.local_frobenius import (
     tau_power,
     verify_claims,
 )
-from frobstrat.polygons import REFERENCE_POLYGONS, reference_label
+from frobstrat.polygons import (
+    REFERENCE_POLYGONS,
+    dual_polygon,
+    enumerate_frobenius_polygons,
+    reference_label,
+)
 from frobstrat.strata import filtration_degrees
 from oracles import (
     closed_form_colength,
@@ -900,3 +905,40 @@ def test_fiber_polygon_extrapolation_warns():
     assert pg.vertices == ((0, 0), (1, 0), (2, -2))
     with pytest.warns(ExtrapolationWarning):
         fiber_polygon(CTX3, FiberPoint((1, 0, 0), 3), 3, -1)
+
+
+#: (p, g) with (p - 1)(g - 1) >= 2: the line quotient then has negative
+#: degree, so no stratum's fiber polygon is the one-segment semistable shape.
+REALISED_PG = [(p, g) for p in (2, 3, 5, 7) for g in (2, 3, 4) if (p - 1) * (g - 1) >= 2]
+
+
+def _realised_polygons(p, g):
+    """The fiber polygon of one point per stratum b (last nonzero
+    coordinate b), at line degree 1 - (p - 1)(g - 1), where the
+    colength-one subsheaf has degree 0, together with their duals, the
+    polygons of the dual bundles."""
+    ctx, line_degree = LocalContext.default(p), 1 - (p - 1) * (g - 1)
+    points = [FiberPoint((*[0] * b, 1, *[0] * (p - 1 - b)), p) for b in range(p)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        fibers = {fiber_polygon(ctx, point, g, line_degree) for point in points}
+    return fibers | {dual_polygon(pg) for pg in fibers}
+
+
+@pytest.mark.parametrize("p,g", REALISED_PG)
+def test_every_realised_polygon_is_one_the_walk_lists(p, g):
+    """The local model realises polygons and the walk lists those that
+    meet the slope-gap and spread bounds, two independent sources: every
+    realised polygon, and its dual, lies in the walk at (p, g, p, 0)."""
+    realised = _realised_polygons(p, g)
+    assert {pg.endpoint for pg in realised} == {(p, 0)}
+    assert realised <= set(enumerate_frobenius_polygons(p, g, p, 0))
+
+
+def test_the_walk_lists_exactly_the_realised_polygons_at_the_reference():
+    """At the reference the three fiber polygons and the dual of P2, which
+    is P1, are the four walk polygons: each of the four strata is
+    realised."""
+    realised = _realised_polygons(3, 2)
+    assert realised == set(enumerate_frobenius_polygons(3, 2, 3, 0))
+    assert sorted(map(reference_label, realised)) == ["P1", "P2", "P3", "P4"]

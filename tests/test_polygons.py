@@ -571,6 +571,22 @@ def test_the_pruned_walk_keeps_every_rung_and_its_order(rung):
     assert all(a < b for a, b in zip(heights, heights[1:]))
 
 
+#: Rungs with p*d < 0, the only ones where the lowest height bound
+#: min(0, p*d) is not 0: the sort key's digits are the scaled heights
+#: themselves, not shifted by it, so some of them are negative here.
+NEGATIVE_RUNGS = ((3, 3, 6, -1), (5, 2, 5, -2), (7, 2, 6, -1))
+
+
+@pytest.mark.parametrize("rung", NEGATIVE_RUNGS, ids=lambda rung: ",".join(map(str, rung)))
+def test_the_walk_orders_rungs_of_negative_degree_strictly(rung):
+    """Below the degree-0 chord the one-int sort keys still order the
+    polygons strictly by their Fraction height tuples."""
+    polys = enumerate_frobenius_polygons(*rung)
+    heights = [integer_heights(pg) for pg in polys]
+    assert min(min(h) for h in heights) < 0
+    assert all(a < b for a, b in zip(heights, heights[1:]))
+
+
 @pytest.mark.parametrize("params", ENUMERATED)
 def test_enumerate_members_are_distinct_and_share_one_endpoint(params):
     """The oracle diff compares sets, so it would pass a polygon emitted
@@ -592,6 +608,30 @@ def test_integer_heights_match_height(params):
         got = integer_heights(pg)
         assert got == want
         assert all(type(h) is Fraction for h in got)
+
+
+#: Extremal polygons of rank r*p with r >= 2 and d < 0: every segment
+#: has run r, so every abscissa between two vertices takes the running
+#: numerator of ``integer_heights``, in them and in their duals.
+LONG_RUN_POLYGONS = [
+    canonical_polygon(p, g, r, d)
+    for p, g, r, d in itertools.product((2, 3, 5, 7), (2, 3), (2, 3, 5), (-1, -4))
+]
+
+
+def test_integer_heights_match_height_along_long_runs():
+    """On polygons whose every segment is longer than one rank, the
+    one-pass heights equal :func:`height` at every integer abscissa and
+    are Fractions, some of them not integers."""
+    proper = 0
+    for pg in LONG_RUN_POLYGONS + [dual_polygon(pg) for pg in LONG_RUN_POLYGONS]:
+        verts = pg.vertices
+        assert all(x1 - x0 >= 2 for (x0, _), (x1, _) in zip(verts, verts[1:]))
+        got = integer_heights(pg)
+        assert got == tuple(height(pg, x) for x in range(pg.rank + 1))
+        assert all(type(h) is Fraction for h in got)
+        proper += sum(h.denominator > 1 for h in got)
+    assert proper > 0
 
 
 #: Ladder rungs whose polygons the integer predicates are diffed on.
