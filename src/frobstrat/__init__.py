@@ -67,7 +67,6 @@ _EXPORTS = {
         "dominates",
         "dual_polygon",
         "enumerate_frobenius_polygons",
-        "height",
         "integer_heights",
         "is_canonical",
         "make_polygon",

@@ -5,14 +5,14 @@ and a colength matrix stacks p(p - l) rows of p entries, images in
 k[t]/(t^p) (20 rows at p = 5, 42 at p = 7), so plain Python integers are
 the right representation.  No floating point enters anywhere, and
 entries must be integers: a float or a fraction is refused rather than
-truncated.  :func:`require_prime` remembers the last prime it verified,
-so a repeated check costs one comparison.  :func:`matrix_rank` remembers
-the rows, modulus and echelon of the last matrix it ranked, one rows
-tuple and at most p echelon rows for a colength matrix, so a matrix over
-the same modulus that ends with exactly those rows inserts only its
-leading ones; the colength matrices of one profile nest that way.  A
-zero row skips the reduction and a row that reduces to zero the search
-for its lead.
+truncated.  :func:`require_prime` returns the prime it verified as an
+exact int and remembers the last one, so a repeated check costs one
+comparison.  :func:`matrix_rank` remembers the rows, modulus and echelon
+of the last matrix it ranked, one rows tuple and at most p echelon rows
+for a colength matrix, so a matrix over the same modulus that ends with
+exactly those rows inserts only its leading ones; the colength matrices
+of one profile nest that way.  A zero row skips the reduction and a row
+that reduces to zero the search for its lead.
 :data:`WORK_BUDGET` is the one bound on how many items a public call may
 build; the calls whose work grows with p refuse before building anything
 when they would exceed it.
@@ -66,23 +66,30 @@ def _over_budget(what: str, count, items: str) -> InvalidParameters:
     )
 
 
+def _word_charge(count: int, largest: int) -> int:
+    """``count`` items, each counted once per signed 64-bit word that the
+    int ``largest`` takes: a gate bounds the digits of its input too."""
+    return count * (abs(largest).bit_length() // 64 + 1)
+
+
 #: The last exact int :func:`require_prime` verified; one computation
 #: checks its own prime many times in a row.
 _last_prime: int | None = None
 
 
-def require_prime(p) -> None:
-    """Raise :class:`InvalidParameters` unless ``p`` is a prime integer.
-
-    The last exact int that passed is remembered and answered by one
-    comparison; other values are tested in full."""
+def require_prime(p) -> int:
+    """``p`` as an exact int, ``int(p)`` for an int subclass; raises
+    :class:`InvalidParameters` unless ``p`` is a prime integer, and for a
+    bool.  The last exact int that passed is remembered and answered by
+    one comparison; other values are tested in full."""
     global _last_prime
     if type(p) is int and p == _last_prime:
-        return
+        return p
     if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise InvalidParameters(f"modulus must be a prime integer, got {p!r}")
     if type(p) is int:
         _last_prime = p
+    return int(p)
 
 
 def _checked_int(value, name: str = "", least: int | None = None) -> int:
@@ -114,14 +121,14 @@ def _reduce(values, p: int) -> tuple[int, ...]:
 
 
 class FpMatrix(Record):
-    """A dense matrix over F_p: any iterable of integer rows, stored reduced."""
+    """A dense matrix over F_p: any iterable of integer rows, stored reduced,
+    and the modulus, stored as the exact int it equals."""
 
     rows: tuple[tuple[int, ...], ...]
     modulus: int
 
     def __post_init__(self) -> None:
-        p, rows = self.modulus, self.rows
-        require_prime(p)
+        p, rows = require_prime(self.modulus), self.rows
         try:
             rows = tuple(_reduce(row, p) for row in rows)
         except TypeError:
@@ -131,6 +138,7 @@ class FpMatrix(Record):
         if set(map(len, rows)) != {len(rows[0])}:
             raise InvalidParameters("matrix rows must share one length")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "modulus", p)
 
     @property
     def nrows(self) -> int:

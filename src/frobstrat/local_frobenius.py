@@ -8,15 +8,16 @@ cross the tensor sign).  The canonical filtration of the pullback is
 generated level by level by powers of tau = t⊗1 - 1⊗t, acting through the
 right factor.
 
-The normal form is sparse: an element's fields are the sorted tuple of
-its nonzero monomials, the right-exponent precision and the modulus, and
-its constructor normalises any sum of monomials.  The m + 1 monomials of
-tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k are already its normal form for
-m <= p - 1: every left exponent is below p, so nothing carries; every
-right exponent is below p, which is at most half the precision, so
-nothing is truncated; and C(m, k) is prime to p, so no coefficient
-vanishes.  A right shift moves each monomial and checks only the last
-against the precision, and an image in k[t]/(t^p) reads only the
+The normal form is sparse: an element's fields are the sorted tuple of its
+nonzero monomials, the right-exponent precision and the modulus, and its
+constructor normalises any sum of monomials.  Like every record here it
+stores its prime as the exact int that ``require_prime`` returns.  The
+m + 1 monomials of tau^m = Σ_k (-1)^k C(m, k) t^(m-k) ⊗ t^k are already
+its normal form for m <= p - 1: every left exponent is below p, so nothing
+carries; every right exponent is below p, which is at most half the
+precision, so nothing is truncated; and C(m, k) is prime to p, so no
+coefficient vanishes.  A right shift moves each monomial and checks only
+the last against the precision, and an image in k[t]/(t^p) reads only the
 monomials with right exponent below p.  The work of the colength path
 therefore grows with the number of terms and not with the precision; the
 dense p × precision grid is built only when ``coeffs`` is read.
@@ -104,8 +105,7 @@ class LocalContext(Record):
     precision: int
 
     def __post_init__(self) -> None:
-        require_prime(self.p)
-        p = _checked_int(self.p)  # an exact int, which require_prime remembers
+        p = require_prime(self.p)
         precision = _checked_int(self.precision)
         if precision < 2 * p:
             raise InvalidParameters(
@@ -155,8 +155,7 @@ class PullbackElement(Record):
     _image = None
 
     def __post_init__(self) -> None:
-        require_prime(self.modulus)
-        p = _checked_int(self.modulus)  # an exact int, which require_prime remembers
+        p = require_prime(self.modulus)
         n = _checked_int(self.precision, "precision", 0)
         # One list of checked, carried and truncated terms; a term that is
         # already a triple of exact ints in normal form is kept as given.
@@ -212,8 +211,7 @@ class FiberPoint(Record):
     modulus: int
 
     def __init__(self, lambdas, modulus: int) -> None:
-        require_prime(modulus)
-        p = _checked_int(modulus)
+        p = require_prime(modulus)
         reduced = _reduce(lambdas, p)
         if len(reduced) != p:
             raise InvalidParameters(
@@ -231,7 +229,7 @@ def fiber_points(p: int) -> tuple[FiberPoint, ...]:
     """All points of P^{p-1}(F_p) in a fixed lexicographic order; refused
     before any is built when the (p^p - 1)/(p - 1) points exceed
     :data:`~frobstrat.algebra.WORK_BUDGET` (p <= 7 runs, p = 11 does not)."""
-    require_prime(p)
+    p = require_prime(p)
     # From p = 100 on the count exceeds 10^190: named by its formula, not computed.
     huge = p >= 100
     count = f"({p}^{p} - 1)/{p - 1}" if huge else (p**p - 1) // (p - 1)

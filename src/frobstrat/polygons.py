@@ -3,11 +3,12 @@
 A polygon here is the graph of a piecewise-linear concave function from
 (0, 0) to (r, D) with integral vertices and strictly decreasing segment
 slopes: the shape of a Harder-Narasimhan polygon.  This module provides
-construction and canonical form, exact-rational slope and height queries,
-the pointwise domination order, duals, the shapes admissible for Frobenius
-pull-backs of semistable bundles (found by one exhaustive walk over vertex
-chains inside the slope-drop and spread windows), and the extremal shape
-realised by direct images under Frobenius with the dimension of its stratum.
+construction and canonical form, exact-rational slopes and heights at the
+integer abscissae, the pointwise domination order, duals, the shapes
+admissible for Frobenius pull-backs of semistable bundles (found by one
+exhaustive walk over vertex chains inside the slope-drop and spread
+windows), and the extremal shape realised by direct images under Frobenius
+with the dimension of its stratum.
 
 Heights and slopes are :class:`fractions.Fraction` values at the API; the
 order, convexity and slope bounds are decided by integer cross-products,
@@ -34,7 +35,7 @@ from math import lcm
 from operator import index
 
 from . import algebra
-from .algebra import _checked_int, _not_integral, _over_budget
+from .algebra import _checked_int, _not_integral, _over_budget, _word_charge
 from .algebra import is_prime, require_prime
 from .errors import BadStart, EndpointMismatch, InvalidParameters, NotConvex
 from .record import Record
@@ -168,31 +169,13 @@ def _drop(s, t) -> tuple[int, int]:
 def slopes(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Strictly decreasing segment slopes, one per segment."""
     from fractions import Fraction
-    verts = pg.vertices
-    return tuple(
-        Fraction(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(verts, verts[1:])
-    )
+    return tuple(Fraction(dy, dx) for dx, dy in _segments(pg))
 
 
 def slope_gaps(pg: LatticePolygon) -> tuple[Fraction, ...]:
     """Drops between successive segment slopes (all positive)."""
     segs = slopes(pg)
     return tuple(cur - nxt for cur, nxt in zip(segs, segs[1:]))
-
-
-def height(pg: LatticePolygon, x) -> Fraction:
-    """Exact height of the polygon graph above abscissa ``x``, an int or a
-    Fraction; a float or a string is refused, not converted."""
-    from fractions import Fraction
-    if not isinstance(x, (int, Fraction)):
-        raise InvalidParameters(f"abscissa must be an int or a Fraction, got {x!r}")
-    x = Fraction(x)
-    if x < 0 or x > pg.rank:
-        raise InvalidParameters(f"abscissa {x} outside [0, {pg.rank}]")
-    for (x0, y0), (x1, y1) in zip(pg.vertices, pg.vertices[1:]):
-        if x <= x1:
-            break  # at the last segment at the latest, as x <= rank
-    return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
 
 
 def integer_heights(pg: LatticePolygon) -> tuple[Fraction, ...]:
@@ -320,7 +303,7 @@ def enumerate_frobenius_polygons(
     visited at (x, y) (its closing segment and each rank it tries) and
     r + 1 for each polygon kept: (11, 3, 7, 0) takes 57,408.
     """
-    require_prime(p)
+    p = require_prime(p)
     g = _checked_int(g, "genus", 2)
     r = _checked_int(r, "rank", 2)
     d = _checked_int(d)
@@ -419,15 +402,18 @@ def canonical_polygon(p: int, g: int, r: int, d: int) -> LatticePolygon:
     (r*p, p*d) where d is the degree of the rank r*p bundle.  Segment i
     has slope d/r + (p - 2i - 1)(g - 1), so every drop between successive
     slopes is 2g - 2.  Refused with :class:`InvalidParameters` before any
-    vertex is built when the p + 1 vertices exceed
+    vertex is built when the p + 1 vertices, each counted once per signed
+    64-bit word of |d|p + rp^2(g - 1), a bound on every coordinate, exceed
     :data:`~frobstrat.algebra.WORK_BUDGET`.
     """
-    require_prime(p)
+    p = require_prime(p)
     g = _checked_int(g, "genus", 2)
     r = _checked_int(r, "rank", 1)
     d = _checked_int(d)
-    if p + 1 > algebra.WORK_BUDGET:
-        raise _over_budget(f"the canonical polygon at p = {p} has", p + 1, "vertices")
+    cost = _word_charge(p + 1, abs(d) * p + r * p * p * (g - 1))
+    if cost > algebra.WORK_BUDGET:
+        what = f"the canonical polygon at p = {p}, counting each vertex once per 64-bit word, has"
+        raise _over_budget(what, cost, "vertices")
     return make_polygon(
         [(i * r, d * i + r * i * (p - i) * (g - 1)) for i in range(p + 1)]
     )

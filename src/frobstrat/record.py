@@ -16,9 +16,11 @@ class Record:
     deleting an attribute raises.  The generic constructor binds arguments
     to fields like a call signature, then runs ``__post_init__`` if the
     class has one; a check there may normalise a field with
-    :func:`object.__setattr__`.  Three hot calls build a value in normal
-    form without the constructor, skipping the checks their callers have
-    made: ``local_frobenius.colength`` and ``colength_profile``, and
+    :func:`object.__setattr__`, as each record taking a prime stores the
+    exact int that ``algebra.require_prime`` returns.  Three hot calls
+    build a value in normal form without the constructor, skipping the
+    checks their callers have made:
+    ``local_frobenius.colength`` and ``colength_profile``, and
     ``polygons.make_polygon``.  The fields are the whole value but for
     two memos: a ``LocalContext`` and the tau powers it builds remember
     the powers and shifts already built, and each remembered power and

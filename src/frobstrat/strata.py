@@ -17,7 +17,7 @@ agreement of enumerated point counts with closed forms.
 from __future__ import annotations
 
 from . import algebra
-from .algebra import _checked_int, _over_budget, require_prime
+from .algebra import _checked_int, _over_budget, _word_charge, require_prime
 from .errors import (
     InvalidParameters,
     InvariantViolation,
@@ -81,8 +81,7 @@ class CurveContext(Record):
     p, g, r, d, line_degree = REFERENCE_CONFIGURATION
 
     def __post_init__(self) -> None:
-        require_prime(self.p)
-        object.__setattr__(self, "p", _checked_int(self.p))
+        object.__setattr__(self, "p", require_prime(self.p))
         object.__setattr__(self, "g", _checked_int(self.g, "genus", 2))
         object.__setattr__(self, "r", _checked_int(self.r, "rank", 1))
         object.__setattr__(self, "d", _checked_int(self.d))
@@ -109,7 +108,7 @@ class StratumReport(Record):
 
 def pushforward_type(r: int, d: int, p: int, g: int) -> tuple[int, int]:
     """Rank and degree of the Frobenius direct image of a type (r, d) bundle."""
-    require_prime(p)
+    p = require_prime(p)
     r = _checked_int(r, "rank", 1)
     d = _checked_int(d)
     g = _checked_int(g, "genus", 2)
@@ -121,13 +120,17 @@ def filtration_degrees(p: int, g: int, line_degree: int) -> tuple[tuple[int, int
 
     Level l contributes a line piece of degree line_degree + l(2g - 2);
     the degrees sum to the degree of the pulled-back direct image.
-    Refused when the p pieces exceed :data:`~frobstrat.algebra.WORK_BUDGET`.
+    Refused when the p pieces, each counted once per signed 64-bit word of
+    |line_degree| + 2pg, a bound on every degree, exceed
+    :data:`~frobstrat.algebra.WORK_BUDGET`.
     """
-    require_prime(p)
+    p = require_prime(p)
     g = _checked_int(g, "genus", 2)
     line_degree = _checked_int(line_degree)
-    if p > algebra.WORK_BUDGET:
-        raise _over_budget(f"the filtration at p = {p} has", p, "graded pieces")
+    cost = _word_charge(p, abs(line_degree) + 2 * p * g)
+    if cost > algebra.WORK_BUDGET:
+        what = f"the filtration at p = {p}, counting each piece once per 64-bit word, has"
+        raise _over_budget(what, cost, "graded pieces")
     return tuple((1, line_degree + level * (2 * g - 2)) for level in range(p))
 
 
@@ -141,7 +144,7 @@ def sun_slope_bound(p: int, g: int, line_degree: int, sub_rank: int) -> Fraction
     degree-0 subsheaf of the same rank as the direct image.
     """
     from fractions import Fraction
-    require_prime(p)
+    p = require_prime(p)
     g = _checked_int(g, "genus", 2)
     line_degree, sub_rank = _checked_int(line_degree), _checked_int(sub_rank)
     if not 1 <= sub_rank <= p:
@@ -188,6 +191,7 @@ def fiber_census(p: int, g: int, line_degree: int) -> FiberCensus:
     closed forms) is not established.  Per-point classification at other parameters remains
     available through :func:`frobstrat.local_frobenius.fiber_polygon`.
     """
+    g, line_degree = _checked_int(g), _checked_int(line_degree)
     if (p, g, line_degree) != REFERENCE_PARAMETERS:
         raise InvalidParameters(
             f"census is defined for (p, g, line degree) = "
@@ -228,7 +232,7 @@ def b1_splits(p: int, g: int) -> bool:
 
     Defined for odd primes only; the criterion is p | (g - 1).
     """
-    require_prime(p)
+    p = require_prime(p)
     if p <= 2:
         raise UnsupportedCharacteristic(
             f"splitting criterion requires characteristic p > 2, got {p}"

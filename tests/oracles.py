@@ -8,8 +8,9 @@ search over vertex chains for the polygon enumeration,
 :class:`~fractions.Fraction` slopes and heights for the polygon walk, order
 and slope bounds the library decides by integer cross-multiplication, and
 polygon construction as separate passes (convert, check, drop collinear
-points, check again) for the library's one validating pass.  The
-vertexwise polygon comparison lives here too, since only the tests use it.
+points, check again) for the library's one validating pass.  The height
+of a polygon at any rational abscissa and the vertexwise polygon
+comparison live here too, since only the tests use them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from frobstrat.errors import (
     NotConvex,
     PrecisionExhausted,
 )
-from frobstrat.polygons import height, make_polygon, slope_gaps, slopes
+from frobstrat.polygons import make_polygon, slope_gaps, slopes
 
 
 def rowspace_rank(rows, p):
@@ -131,6 +132,22 @@ def closed_form_colength(p: int, b: int, level: int) -> int:
     otherwise, and the colength is p minus it.
     """
     return p if b >= level else p - level + b
+
+
+def height(pg, x) -> Fraction:
+    """Exact height of the polygon graph above abscissa ``x``, an int or a
+    Fraction, by interpolating on the segment that spans it; a float or a
+    string is refused, not converted.  The reference for
+    :func:`frobstrat.polygons.integer_heights` and the domination order."""
+    if not isinstance(x, (int, Fraction)):
+        raise InvalidParameters(f"abscissa must be an int or a Fraction, got {x!r}")
+    x = Fraction(x)
+    if x < 0 or x > pg.rank:
+        raise InvalidParameters(f"abscissa {x} outside [0, {pg.rank}]")
+    for (x0, y0), (x1, y1) in zip(pg.vertices, pg.vertices[1:]):
+        if x <= x1:
+            break  # at the last segment at the latest, as x <= rank
+    return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (x - x0)
 
 
 def vertexwise_above(a, b) -> bool:

@@ -101,6 +101,8 @@ def test_require_prime_memo_stays_bounded(monkeypatch):
             "514129896 tau monomials",
         ),
         ("filtration_degrees(999999999989, 2, -1)", "999999999989 graded pieces"),
+        ("filtration_degrees(999983, 10**100, -1)", "5999898 graded pieces"),
+        ("canonical_polygon(999983, 10**100, 10**100, 0)", "11999808 vertices"),
         ("tau_power(LocalContext(3, 10**9), 2).coeffs", "3000000000 cells"),
         (
             "integer_heights(make_polygon([(0, 0), (1, 1), (10**12, 0)]))",
@@ -115,6 +117,8 @@ def test_require_prime_memo_stays_bounded(monkeypatch):
         "tau_power-m1000002",
         "colength-p1009",
         "filtration_degrees-p1e12",
+        "filtration_degrees-g1e100",
+        "canonical-g1e100-r1e100",
         "coeffs-precision1e9",
         "integer_heights-rank1e12",
     ],
@@ -160,6 +164,26 @@ def test_every_gate_reads_the_one_work_budget(monkeypatch, call):
     monkeypatch.setattr(algebra, "WORK_BUDGET", 10)
     with pytest.raises(InvalidParameters, match="over the work budget of 10 "):
         eval(call, api)
+
+
+def test_wide_entries_count_once_per_word(monkeypatch):
+    """A vertex of ``canonical_polygon`` counts once per signed 64-bit word
+    of |d|p + rp^2(g - 1), and a piece of ``filtration_degrees`` once per
+    word of |line_degree| + 2pg: the gate moves by one word where that
+    bound reaches 2^63."""
+    from frobstrat.polygons import canonical_polygon
+    from frobstrat.strata import filtration_degrees
+
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 4)
+    r = (2**63 - 1) // 9  # 9r < 2^63 at p = 3, g = 2, d = 0
+    assert canonical_polygon(3, 2, r, 0).rank == 3 * r
+    with pytest.raises(InvalidParameters, match="has 8 vertices"):
+        canonical_polygon(3, 2, r + 1, 0)
+    monkeypatch.setattr(algebra, "WORK_BUDGET", 3)
+    line_degree = -(2**63 - 1 - 12)  # |line_degree| + 12 = 2^63 - 1 at p = 3, g = 2
+    assert len(filtration_degrees(3, 2, line_degree)) == 3
+    with pytest.raises(InvalidParameters, match="has 6 graded pieces"):
+        filtration_degrees(3, 2, line_degree - 1)
 
 
 def test_matrix_rank_identity():

@@ -18,6 +18,7 @@ from frobstrat.local_frobenius import (
     colength,
     colength_profile,
     element_from_monomials,
+    fiber_points,
     fiber_polygon,
     level_degree,
     phi_image,
@@ -39,6 +40,7 @@ from frobstrat.polygons import (
 from frobstrat.strata import (
     CurveContext,
     b1_splits,
+    fiber_census,
     filtration_degrees,
     pushforward_type,
     stratum_table,
@@ -154,6 +156,7 @@ def test_calls_compute_with_the_values_they_checked():
     assert fiber_polygon(CTX3, PT3, _Index(2), _Index(-1)) == fiber_polygon(CTX3, PT3, 2, -1)
     assert colength(LocalContext(3, _Index(9)), PT3, 1) == colength(CTX3, PT3, 1)
     assert stratum_table(CurveContext(g=_Index(2))) == stratum_table(CurveContext())
+    assert fiber_census(3, _Index(2), _Index(-1)) == fiber_census(3, 2, -1)
 
 
 class _Prime(IntEnum):
@@ -204,6 +207,60 @@ def test_pullback_elements_store_their_modulus_as_an_exact_int(monkeypatch):
     for _ in range(10):
         assert phi_image(element, point) == (2, 0, 0, 0, 0)
     assert tested == []
+
+
+def test_require_prime_returns_the_exact_int_it_checked(monkeypatch):
+    """``require_prime`` hands back the exact int equal to its argument: a
+    memo hit returns the argument itself and an int subclass comes back as
+    ``int(p)``, without entering the memo.  It still refuses a bool, a
+    float and a composite."""
+    monkeypatch.setattr(algebra, "_last_prime", None)
+    big = int("1000003")  # a prime outside the small-int cache
+    assert require_prime(big) is big and require_prime(big) is big
+    checked = require_prime(_Prime.FIVE)
+    assert type(checked) is int and checked == 5 and algebra._last_prime is big
+    assert type(require_prime(5)) is int and algebra._last_prime == 5
+    for bad in (True, 5.0, 4):
+        with pytest.raises(InvalidParameters, match="prime integer"):
+            require_prime(bad)
+
+
+def test_fiber_points_test_an_int_subclass_prime_at_most_twice(monkeypatch):
+    """The entry's check of ``_Prime.FIVE`` tests it in full; every point is
+    then built with the exact int, so only the first point's check tests
+    it again and the memo answers the other 780."""
+    monkeypatch.setattr(algebra, "_last_prime", None)
+    tested = []
+    monkeypatch.setattr(algebra, "is_prime", lambda n, real=is_prime: tested.append(n) or real(n))
+    points = fiber_points(_Prime.FIVE)
+    assert len(points) == 781 and len(tested) <= 2
+    assert all(type(point.modulus) is int for point in points)
+
+
+#: Each entry and record that takes a prime, as a call on that prime.
+PRIME_ENTRIES = {
+    "FpMatrix": lambda p: FpMatrix(((1, 2),), p),
+    "LocalContext": lambda p: LocalContext(p, 3 * p),
+    "PullbackElement": lambda p: PullbackElement([(0, 1, 1)], 3 * p, p),
+    "FiberPoint": lambda p: FiberPoint((1,) * p, p),
+    "CurveContext": lambda p: CurveContext(p=p),
+    "fiber_points": fiber_points,
+    "enumerate_frobenius_polygons": lambda p: enumerate_frobenius_polygons(p, 2, 3, 0),
+    "canonical_polygon": lambda p: canonical_polygon(p, 2, 2, -1),
+    "pushforward_type": lambda p: pushforward_type(3, 1, p, 2),
+    "filtration_degrees": lambda p: filtration_degrees(p, 2, -1),
+    "sun_slope_bound": lambda p: sun_slope_bound(p, 2, -1, 1),
+    "b1_splits": lambda p: b1_splits(p, 4),
+}
+
+
+@pytest.mark.parametrize("entry", PRIME_ENTRIES.values(), ids=PRIME_ENTRIES.keys())
+@pytest.mark.parametrize("p", list(_Prime), ids=lambda p: p.name)
+def test_an_int_subclass_prime_gives_the_int_result(entry, p):
+    """A prime given as an int subclass gives the result of the int it
+    equals, repr included, so no record keeps the subclass:
+    ``FpMatrix(((1, 2),), _Prime.FIVE)`` reprs with ``modulus=5``."""
+    assert repr(entry(p)) == repr(entry(int(p)))
 
 
 def test_constructors_take_any_iterable():

@@ -17,7 +17,6 @@ from frobstrat.polygons import (
     dominates,
     dual_polygon,
     enumerate_frobenius_polygons,
-    height,
     integer_heights,
     is_canonical,
     make_polygon,
@@ -42,6 +41,7 @@ from oracles import (
     fraction_is_canonical,
     fraction_spread_bound,
     fraction_walk_polygons,
+    height,
     two_pass_lattice_polygon,
     two_pass_make_polygon,
     vertexwise_above,
