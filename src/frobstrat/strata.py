@@ -143,7 +143,8 @@ def sun_slope_bound(p: int, g: int, line_degree: int, sub_rank: int) -> Fraction
     Nonpositive values for every proper rank certify semistability of any
     degree-0 subsheaf of the same rank as the direct image.
     """
-    from fractions import Fraction
+    import fractions
+    Fraction = fractions.Fraction
     p = require_prime(p)
     g = _checked_int(g, "genus", 2)
     line_degree, sub_rank = _checked_int(line_degree), _checked_int(sub_rank)
