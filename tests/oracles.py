@@ -4,8 +4,9 @@ Each oracle recomputes a quantity along a path independent of the library
 code it checks: row-space enumeration for matrix ranks,
 one-step-at-a-time monomial rewriting for the pullback normal form, dense
 coefficient grids for the shifts and images of pullback elements, a box
-search over vertex chains for the polygon enumeration,
-:class:`~fractions.Fraction` slopes and heights for the polygon walk, order
+search over vertex chains and a count memoised over chain states for the
+polygon enumeration, :class:`~fractions.Fraction` slopes and heights for
+the polygon walk, order
 and slope bounds the library decides by integer cross-multiplication, and
 polygon construction as separate passes (convert, check, drop collinear
 points, check again) for the library's one validating pass.  The height
@@ -262,6 +263,55 @@ def fraction_walk_polygons(p, g, r, d):
     walk([(0, 0)], None, None)
     found.sort(key=lambda pg: tuple(height(pg, x) for x in range(r + 1)))
     return [pg.vertices for pg in found]
+
+
+def count_frobenius_polygons(p, g, r, d, max_states=200_000):
+    """How many polygons :func:`frobstrat.polygons.enumerate_frobenius_polygons`
+    lists, counted from the definition alone and without building any.
+
+    A chain ending at (x, y) with first slope ``first`` and last slope
+    ``last`` has as many completions as the sum over its next segments
+    (run rk, rise dy) with slope t in [max(last - gap, first - spread),
+    last) of theirs; a segment reaching x = r has its rise fixed by the
+    endpoint and counts 1 when its slope lies in the same interval.  The
+    counts are memoised per (x, y, first, last), with Fraction slopes.
+    The only window beyond the definition's drop, spread and endpoint
+    constraints is the one that makes the search finite: the first slope
+    is the largest and the last the smallest, so the first lies between
+    their weighted mean p*d/r and p*d/r + spread.  None of the walk's cuts
+    to chains that can still close is used.  Refused with
+    :class:`ValueError` once more than ``max_states`` states are memoised.
+    """
+    total, gap = p * d, 2 * g - 2
+    spread = min(r - 1, p - 1) * gap
+    mean = Fraction(total, r)
+    memo = {}
+
+    def completions(x, y, first, last):
+        key = (x, y, first, last)
+        if key in memo:
+            return memo[key]
+        if len(memo) >= max_states:
+            raise ValueError(
+                f"count_frobenius_polygons{(p, g, r, d)} would memoise more "
+                f"than {max_states} states"
+            )
+        least = max(last - gap, first - spread)
+        rest = r - x
+        close = Fraction(total - y, rest)
+        n = int(least <= close < last)
+        for rk in range(1, rest):
+            for dy in range(math.ceil(rk * least), math.ceil(rk * last)):
+                n += completions(x + rk, y + dy, first, Fraction(dy, rk))
+        memo[key] = n
+        return n
+
+    count = 0
+    for rk in range(1, r):  # a first segment short of x = r: two segments at least
+        for dy in range(math.ceil(rk * mean), math.floor(rk * (mean + spread)) + 1):
+            slope = Fraction(dy, rk)
+            count += completions(rk, dy, slope, slope)
+    return count
 
 
 def _exact_pairs(points) -> tuple[tuple[int, int], ...]:

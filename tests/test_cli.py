@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -794,6 +796,56 @@ def test_commands_without_fractions_never_import_it(child_env, argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def _function_from_imports(tree):
+    """Lines of every absolute ``from M import N`` inside a function body.
+
+    A relative import inside a function (the CLI handlers' ``from .strata
+    import ...``) is left alone: it runs once per command."""
+    return sorted(
+        {
+            node.lineno
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+        }
+    )
+
+
+def test_the_import_check_sees_every_form():
+    source = (
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "    def g():\n"
+        "        from math import gcd\n"
+        "    from .strata import fiber_census\n"
+        "    import fractions\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            from json import dumps\n"
+        "async def h():\n"
+        "    from os import path\n"
+    )
+    assert _function_from_imports(ast.parse(source)) == [3, 5, 11, 13]
+
+
+def test_no_function_body_has_an_absolute_from_import():
+    """A lazy import inside a function is ``import M`` and an attribute read.
+    On CPython 3.11 ``from M import N`` of a plain module also looks up
+    ``M.__path__`` and builds and discards an AttributeError on every call,
+    about 0.95 us against 0.12 us, and the polygon walk makes one such call
+    per polygon."""
+    src = Path(cli.__file__).resolve().parent
+    sites = {
+        path.name: lines
+        for path in sorted(src.glob("*.py"))
+        if (lines := _function_from_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert sites == {}
+
+
 @pytest.mark.parametrize(
     "p,count", [(11, "28531167061"), (101, "(101^101 - 1)/100")], ids=["p11", "p101"]
 )
@@ -866,6 +918,70 @@ def test_canonical_polygon_refuses_wide_coordinates(child_env, digits):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "Traceback" not in proc.stderr
     assert re.search(rf"has \d+ vertices, over the work budget of {WORK_BUDGET} vertices", proc.stderr)
+
+
+def _probe_draws(seed=17):
+    """Seeded argv from the CLI grammar: 1 + 3k draws of a command with k
+    flags, each flag and ``--format`` present three times in four.  The
+    format is json or tsv.  Half the other values present are ordinary: a
+    small prime, genus, rank or degree, and a ``--lambda`` of the drawn p's
+    length.  The other half are drawn from the flag's unusual values: on a
+    gate's edge (the largest prime below
+    ``PRIME_BOUND``, the bound, the work budget), 60 digits long or past
+    int's 4,300-digit limit, negative, not prime or not integral."""
+    import random
+
+    from frobstrat.algebra import PRIME_BOUND, WORK_BUDGET
+
+    many = "9" * 60
+    ordinary = {
+        "-p": ("2", "3", "5", "7"),
+        "-g": ("2", "3"),
+        "-r": ("2", "3", "4"),
+        "-d": ("-1", "0", "1"),
+        "--deg-line": ("-1", "0", "1"),
+        "--format": ("json", "tsv"),
+    }
+    unusual = {
+        "-p": ("0", "1", "4", "9", "-3", str(PRIME_BOUND - 11), str(PRIME_BOUND),
+               str(PRIME_BOUND + 1), many, "-" + many),
+        "-g": ("0", "1", "-1", "1000000", many, "-" + many),
+        "-r": ("0", "1", "7", "-2", "1000", str(WORK_BUDGET), many),
+        "-d": ("7", "-40", many, "-" + many, "9" * 5000),
+        "--deg-line": ("-5", "40", many, "-" + many),
+        "--lambda": ("0,0,0", "1", "1,2,3,4,5", "x,y", "", "1,,0", "-1,0,0",
+                     many + ",0,0", "1.5,0,0"),
+    }
+    rng = random.Random(seed)
+    draws = []
+    for name, (_, flags, _) in COMMANDS.items():
+        for _ in range(1 + 3 * len(flags)):
+            argv, p = [name], 3
+            for flag in (*flags, "--format"):
+                if rng.random() < 0.25:
+                    continue
+                if flag in unusual and rng.random() < 0.5:
+                    value = rng.choice(unusual[flag])
+                elif flag == "--lambda":
+                    value = ",".join(rng.choice("0123") for _ in range(p))
+                else:
+                    value = rng.choice(ordinary[flag])
+                if flag == "-p" and value in ordinary["-p"]:
+                    p = int(value)
+                argv += [flag, value]
+            draws.append(tuple(argv))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "argv", _probe_draws(), ids=[f"{argv[0]}-{i}" for i, argv in enumerate(_probe_draws())]
+)
+def test_drawn_command_lines_exit_cleanly(child_env, argv):
+    """Every drawn command line runs or is refused: exit 0, 1 or 2 and no
+    traceback, in a child capped at 1 GiB and 60 s, one child at a time."""
+    proc = _run_capped(child_env, "-m", "frobstrat", *argv, timeout=60)
+    assert proc.returncode in (0, 1, 2), (argv, proc.stderr[-2000:])
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])
 
 
 def _refused_at_the_budget(proc):

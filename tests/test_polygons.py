@@ -36,6 +36,7 @@ from frobstrat.errors import (
 from conftest import _run_capped
 from oracles import (
     brute_enumerate_polygons,
+    count_frobenius_polygons,
     fraction_dominates,
     fraction_gap_bound,
     fraction_is_canonical,
@@ -368,6 +369,18 @@ def test_the_walk_visits_the_chains_its_docstring_states(monkeypatch):
             enumerate_frobenius_polygons(*rung)
         monkeypatch.setattr(algebra, "WORK_BUDGET", steps)
         assert len(enumerate_frobenius_polygons(*rung)) == count
+
+
+@pytest.mark.parametrize("rung", LADDER, ids=lambda rung: ",".join(map(str, rung)))
+def test_the_walk_lists_as_many_polygons_as_the_memoised_count(rung):
+    """The count memoises over (x, y, first slope, last slope) with none of
+    the walk's windows, so it checks the larger rungs independently."""
+    assert len(enumerate_frobenius_polygons(*rung)) == count_frobenius_polygons(*rung)
+
+
+def test_the_memoised_count_is_refused_past_its_state_budget():
+    with pytest.raises(ValueError, match=r"\(11, 3, 7, 0\) would memoise more than 1000 states"):
+        count_frobenius_polygons(11, 3, 7, 0, max_states=1000)
 
 
 @pytest.mark.parametrize(
