@@ -6,12 +6,12 @@ one-step-at-a-time monomial rewriting for the pullback normal form, dense
 coefficient grids for the shifts and images of pullback elements, a box
 search over vertex chains and a count memoised over chain states for the
 polygon enumeration, :class:`~fractions.Fraction` slopes and heights for
-the polygon walk, order
-and slope bounds the library decides by integer cross-multiplication, and
-polygon construction as separate passes (convert, check, drop collinear
-points, check again) for the library's one validating pass.  The height
-of a polygon at any rational abscissa and the vertexwise polygon
-comparison live here too, since only the tests use them.
+the polygon walk, order and slope bounds the library decides by integer
+cross-multiplication, and polygon construction as separate passes
+(convert, check, drop collinear points, check again) for the library's
+one validating pass.  The height of a polygon at any rational abscissa
+and the vertexwise polygon comparison live here too, since only the
+tests use them.
 """
 
 from __future__ import annotations

@@ -973,9 +973,7 @@ def _probe_draws(seed=17):
     return draws
 
 
-@pytest.mark.parametrize(
-    "argv", _probe_draws(), ids=[f"{argv[0]}-{i}" for i, argv in enumerate(_probe_draws())]
-)
+@pytest.mark.parametrize("argv", _probe_draws(), ids=lambda argv: argv[0])
 def test_drawn_command_lines_exit_cleanly(child_env, argv):
     """Every drawn command line runs or is refused: exit 0, 1 or 2 and no
     traceback, in a child capped at 1 GiB and 60 s, one child at a time."""
