@@ -14,14 +14,19 @@ invariant violation or a failed claim.
 
 Each command's handler imports the layers it uses when it runs, so one
 call loads and compiles only what its own command needs.  A call builds
-one parser, its command's, or the command list when ``argv`` names no
-command; ``json`` is imported only to print JSON.
+one parser, its command's, or the command list's when ``argv`` names no
+command; ``json`` is imported only to print JSON.  Help is laid out at
+78 columns whatever the terminal says, and the usage lines, the command
+list and the ``invalid choice`` errors, whose layout argparse changes
+between releases, are written here: help and usage errors are
+byte-stable too, on every interpreter and terminal.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import warnings
 
@@ -29,11 +34,24 @@ from .errors import ExtrapolationWarning, FrobstratError
 from .errors import InvalidParameters, InvariantViolation
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with status 1 on usage errors."""
+    """ArgumentParser that lays out help at 78 columns and exits 1 on usage errors."""
+
+    def _get_formatter(self):
+        return self.formatter_class(self.prog, width=78)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _choice(names):
+    """A ``type=`` converter taking one of ``names``, worded as argparse 3.11's ``choices``."""
+    def check(word):
+        if word not in names:
+            choices = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(f"invalid choice: {word!r} (choose from {choices})")
+        return word
+    return check
 
 
 def command_parser(name: str) -> _Parser:
@@ -55,29 +73,41 @@ def command_parser(name: str) -> _Parser:
             required=True,
             help="comma-separated projective coordinates, e.g. 1,0,0",
         ),
-        "--format": dict(
-            choices=("json", "tsv"), default="json", dest="fmt", help="output format"
-        ),
+        "--format": dict(type=_choice(("json", "tsv")), metavar="{json,tsv}", default="json",
+                         dest="fmt", help="output format"),
     }
     parser = _Parser(prog=f"frobstrat {name}", description=COMMANDS[name][0])
+    lines = [f"usage: {parser.prog} [-h]"]
     for flag in (*COMMANDS[name][1], "--format"):
-        parser.add_argument(flag, **flags[flag])
+        action = parser.add_argument(flag, **flags[flag])
+        words = f"{flag} {action.metavar or action.dest.upper()}"
+        for word in words.split() if action.required else [f"[{words}]"]:
+            if len(lines[-1]) + 1 + len(word) > 78:  # go on under the first flag
+                lines.append(" " * len(f"usage: {parser.prog}"))
+            lines[-1] += " " + word
+    parser.usage = "\n".join(lines)[len("usage: "):]
+    # argparse takes "-1,0,0" for a flag unless this matches it, as "-1" does.
+    parser._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
     return parser
 
 
 def _exit_without_command(argv):
-    """Print the top-level help (exit 0) or usage error (exit 1) for an ``argv``
-    that does not start with a command; no command's flags are built."""
-    parser = _Parser(
-        prog="frobstrat",
-        description="Exact classification of Frobenius destabilization strata: "
-        "polygons, local membership, fiber census, dimension tables.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-    for name, (help_text, _, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, add_help=False)
+    """Print the command list (exit 0) or a usage error (exit 1) for an ``argv``
+    that does not start with a command; no command's parser is built."""
+    import textwrap
+
+    text = ("Exact classification of Frobenius destabilization strata: polygons, local\n"
+            "membership, fiber census, dimension tables.\n\npositional arguments:\n  command")
+    for name, (help_text, _, _) in COMMANDS.items():  # help at column 21, below a long name
+        text += f"\n    {name:15}  " if len(name) < 16 else f"\n    {name}\n{'':21}"
+        text += f"\n{'':21}".join(textwrap.wrap(help_text, 57))
+    text += "\n\noptions:\n  -h, --help         show this help message and exit"
+    parser = _Parser(prog="frobstrat", usage="frobstrat [-h] command ...", description=text,
+                     formatter_class=argparse.RawDescriptionHelpFormatter, add_help=False)
+    parser.add_argument("-h", "--help", action="help", help=argparse.SUPPRESS)
+    parser.add_argument("command", type=_choice(COMMANDS), help=argparse.SUPPRESS)
     parser.parse_args(argv)
+    parser.parse_args(["--", "--"])  # only a "--" before a command parses: refuse the "--"
 
 
 def _parse_lambdas(raw: str) -> tuple[int, ...]:
