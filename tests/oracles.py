@@ -363,3 +363,82 @@ def two_pass_make_polygon(points) -> tuple[tuple[int, int], ...]:
             kept.pop()
         kept.append(pt)
     return two_pass_lattice_polygon(kept)
+
+
+
+def argparse_parse(argv) -> dict:
+    """Destination -> value for a CLI line, read by a copy of the argparse
+    parser the CLI used before it parsed its grammar itself.
+
+    A line that names a command builds that command's parser: its flags,
+    argparse's ``int`` and a choice ``type=`` worded as argparse 3.11's
+    ``choices``, help laid out at 78 columns, the usage line written from
+    the flags, and a negative-number pattern widened to ``-1,0,0``.  Any
+    other line builds a parser of one positional ``command`` whose
+    description is the command list.  Help and usage errors print and exit
+    as argparse does, with exit 1 for a usage error.  The grammar (flag
+    names, defaults, help lines) is written out here again, not read from
+    the CLI; only :data:`frobstrat.cli.COMMANDS` is shared.
+    """
+    import argparse
+    import re
+    import sys
+    import textwrap
+
+    from frobstrat.cli import COMMANDS
+    from frobstrat.polygons import REFERENCE_CONFIGURATION
+
+    class Parser(argparse.ArgumentParser):
+        def _get_formatter(self):
+            return self.formatter_class(self.prog, width=78)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def choice(names):
+        def check(word):
+            if word not in names:
+                choices = ", ".join(map(repr, names))
+                raise argparse.ArgumentTypeError(f"invalid choice: {word!r} (choose from {choices})")
+            return word
+        return check
+
+    if not argv or argv[0] not in COMMANDS:
+        text = ("Exact classification of Frobenius destabilization strata: polygons, local\n"
+                "membership, fiber census, dimension tables.\n\npositional arguments:\n  command")
+        for name, (help_text, _, _) in COMMANDS.items():
+            text += f"\n    {name:15}  " if len(name) < 16 else f"\n    {name}\n{'':21}"
+            text += f"\n{'':21}".join(textwrap.wrap(help_text, 57))
+        text += "\n\noptions:\n  -h, --help         show this help message and exit"
+        parser = Parser(prog="frobstrat", usage="frobstrat [-h] command ...", description=text,
+                        formatter_class=argparse.RawDescriptionHelpFormatter, add_help=False)
+        parser.add_argument("-h", "--help", action="help", help=argparse.SUPPRESS)
+        parser.add_argument("command", type=choice(COMMANDS), help=argparse.SUPPRESS)
+        parser.parse_args(argv)
+        parser.parse_args(["--", "--"])  # only a "--" before a command parses: refuse the "--"
+    name, (p, g, r, d, line_degree) = argv[0], REFERENCE_CONFIGURATION
+    flags = {
+        "-p": dict(type=int, default=p, help="prime characteristic"),
+        "-g": dict(type=int, default=g, help="curve genus"),
+        "-r": dict(type=int, default=r, help="bundle rank"),
+        "-d": dict(type=int, default=d, help="bundle degree"),
+        "--deg-line": dict(type=int, default=line_degree, help="degree of the source line bundle"),
+        "--lambda": dict(dest="lambdas", required=True,
+                         help="comma-separated projective coordinates, e.g. 1,0,0"),
+        "--format": dict(type=choice(("json", "tsv")), metavar="{json,tsv}", default="json",
+                         dest="fmt", help="output format"),
+    }
+    parser = Parser(prog=f"frobstrat {name}", description=COMMANDS[name][0])
+    lines = [f"usage: {parser.prog} [-h]"]
+    for flag in (*COMMANDS[name][1], "--format"):
+        action = parser.add_argument(flag, **flags[flag])
+        words = f"{flag} {action.metavar or action.dest.upper()}"
+        for word in words.split() if action.required else [f"[{words}]"]:
+            if len(lines[-1]) + 1 + len(word) > 78:  # go on under the first flag
+                lines.append(" " * len(f"usage: {parser.prog}"))
+            lines[-1] += " " + word
+    parser.usage = "\n".join(lines)[len("usage: "):]
+    # argparse takes "-1,0,0" for a flag unless this matches it, as "-1" does.
+    parser._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+    return vars(parser.parse_args(argv[1:]))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import ast
 import hashlib
 import json
@@ -16,7 +15,7 @@ import pytest
 
 from conftest import _run_capped, _run_main_capped
 import frobstrat.cli as cli
-from frobstrat.cli import COMMANDS, command_parser, main
+from frobstrat.cli import COMMANDS, command_flags, main
 
 GOLDEN_CLASSIFY = (
     '{"colengths":{"E1":2,"E2":1},"polygon_id":"P4",'
@@ -69,7 +68,8 @@ def test_classify_labels(capsys, lambdas, label):
 
 def test_classify_reads_a_negative_first_coordinate_as_a_value(capsys):
     """``--lambda -1,0,0`` and ``--lambda=-1,0,0`` classify the point 2,0,0;
-    argparse would read the bare ``-1,0,0`` as a flag."""
+    argparse's own negative-number test would read the bare ``-1,0,0`` as a
+    flag."""
     expected = run_cli(capsys, ["classify", "--lambda", "2,0,0"])
     assert expected[0] == 0
     assert run_cli(capsys, ["classify", "--lambda", "-1,0,0"]) == expected
@@ -245,7 +245,7 @@ def test_invalid_parameters_exit_one(capsys):
     assert code == 1
     assert "prime" in err
     # fiber-census and strata-table run only at the reference configuration,
-    # so they take no parameter flag: argparse refuses one as a usage error.
+    # so they take no parameter flag: the parser refuses one as a usage error.
     for argv in (["strata-table", "-d", "3"], ["fiber-census", "-g", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -437,6 +437,14 @@ usage: frobstrat polygons [-h] [-p P] [-g G] [-r R] [-d D]
 frobstrat polygons: error: argument --format: invalid choice: 'xml' (choose from 'json', 'tsv')
 """,
     ),
+    "-hx": (
+        1,
+        "",
+        """\
+usage: frobstrat [-h] command ...
+frobstrat: error: argument -h/--help: ignored explicit argument 'x'
+""",
+    ),
 }
 PARSER_GOLDEN["--help"] = PARSER_GOLDEN["-h"]
 
@@ -478,36 +486,36 @@ def test_a_flag_before_the_command_is_a_top_level_usage_error(capsys):
     ids=["polygons", "classify-unread-flag", "fiber-census-help", "help", "unknown-command"],
 )
 def test_each_call_builds_only_the_parser_it_needs(capsys, monkeypatch, argv, progs):
-    """A line that names a command builds that command's parser alone, and
-    a line that names none builds the command list's parser alone."""
-    built = []
+    """A line that names a command is parsed once, against that command's
+    flag table, read once; a line that names none is parsed once against
+    the command list and reads no flag table."""
+    parsed, tables = [], []
+    parse, flags = cli._parse, cli.command_flags
 
-    class Counted(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["prog"])
-            super().__init__(*args, **kwargs)
+    def counted_parse(words, name=None):
+        parsed.append(f"frobstrat {name}" if name else "frobstrat")
+        return parse(words, name)
 
-    monkeypatch.setattr(cli, "_Parser", Counted)
+    def counted_flags(name):
+        tables.append(f"frobstrat {name}")
+        return flags(name)
+
+    monkeypatch.setattr(cli, "_parse", counted_parse)
+    monkeypatch.setattr(cli, "command_flags", counted_flags)
     try:
         main(argv)
     except SystemExit:
         pass
     capsys.readouterr()
-    assert built == progs
+    assert parsed == progs
+    assert tables == [prog for prog in progs if prog != "frobstrat"]
 
 
-def declared_flags() -> dict[str, dict[str, argparse.Action]]:
-    """Command name -> {option string: action} for every flag the parser of
-    that command takes, ``-h`` left out."""
-    return {
-        name: {
-            option: action
-            for action in command_parser(name)._actions
-            if not isinstance(action, argparse._HelpAction)
-            for option in action.option_strings
-        }
-        for name in COMMANDS
-    }
+def declared_flags() -> dict[str, dict[str, tuple]]:
+    """Command name -> {option string: (destination, metavar, default, type,
+    help line)} for every flag the parser of that command takes, ``-h``
+    left out."""
+    return {name: command_flags(name) for name in COMMANDS}
 
 
 def test_each_command_takes_the_flags_it_declares():
@@ -626,9 +634,9 @@ def test_reference_configuration_has_one_definition():
     position = {"-p": 0, "-g": 1, "-r": 2, "-d": 3, "--deg-line": 4}
     declared = set()
     for options in declared_flags().values():
-        for option, action in options.items():
+        for option, (_, _, default, _, _) in options.items():
             if option in position:
-                assert action.default == REFERENCE_CONFIGURATION[position[option]]
+                assert default == REFERENCE_CONFIGURATION[position[option]]
                 declared.add(option)
     assert declared == set(position)
     assert CurveContext() == CurveContext(*REFERENCE_CONFIGURATION)
@@ -711,6 +719,31 @@ def test_commands_without_fractions_never_import_it(child_env, argv):
     assert proc.returncode == 0, proc.stderr
 
 
+#: argparse, and the gettext and locale that its first message loads.
+PARSER_LIBRARIES = {"argparse", "gettext", "locale"}
+
+#: One run of each command.
+EVERY_COMMAND = [(name, "--lambda", "1,0,0") if name == "classify" else (name,) for name in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_a_call_loads_no_parser_library(child_env, argv):
+    """Each command runs without argparse, gettext or locale in
+    ``sys.modules``."""
+    code = (
+        "import sys, contextlib, io\n"
+        "from frobstrat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+        f"loaded = sorted(set({sorted(PARSER_LIBRARIES)!r}) & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _function_from_imports(tree):
     """Lines of every absolute ``from M import N`` inside a function body.
 
@@ -746,19 +779,59 @@ def test_the_import_check_sees_every_form():
     assert _function_from_imports(ast.parse(source)) == [3, 5, 11, 13]
 
 
+def _parser_imports(tree):
+    """Lines of every import of a parser library, at any depth."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] in PARSER_LIBRARIES for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.split(".")[0] in PARSER_LIBRARIES
+        }
+    )
+
+
+def test_the_parser_import_check_sees_every_form():
+    source = (
+        "import argparse\n"
+        "import os, locale\n"
+        "from gettext import gettext\n"
+        "from .argparse import x\n"
+        "def f():\n"
+        "    import argparse as ap\n"
+        "    from argparse import ArgumentParser\n"
+        "import argparsex\n"
+    )
+    assert _parser_imports(ast.parse(source)) == [1, 2, 3, 6, 7]
+
+
+def _src_sites(check):
+    """File name -> the lines ``check`` finds in each module of ``src/``."""
+    src = Path(cli.__file__).resolve().parent
+    return {
+        path.name: lines
+        for path in sorted(src.glob("*.py"))
+        if (lines := check(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+
+
+def test_src_imports_no_parser_library():
+    """The CLI parses its own grammar: no module of ``src/`` imports
+    argparse, whose import and first message (which loads gettext and
+    locale) cost about 3.8 ms of every CLI call on CPython 3.11."""
+    assert _src_sites(_parser_imports) == {}
+
+
 def test_no_function_body_has_an_absolute_from_import():
     """A lazy import inside a function is ``import M`` and an attribute read.
     On CPython 3.11 ``from M import N`` of a plain module also looks up
     ``M.__path__`` and builds and discards an AttributeError on every call,
     about 0.95 us against 0.12 us, and the polygon walk makes one such call
     per polygon."""
-    src = Path(cli.__file__).resolve().parent
-    sites = {
-        path.name: lines
-        for path in sorted(src.glob("*.py"))
-        if (lines := _function_from_imports(ast.parse(path.read_text(encoding="utf-8"))))
-    }
-    assert sites == {}
+    assert _src_sites(_function_from_imports) == {}
 
 
 @pytest.mark.parametrize(
@@ -895,6 +968,142 @@ def test_drawn_command_lines_exit_cleanly(child_env, argv):
     proc = _run_capped(child_env, "-m", "frobstrat", *argv, timeout=60)
     assert proc.returncode in (0, 1, 2), (argv, proc.stderr[-2000:])
     assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])
+
+
+#: Lines whose tokenization no golden pins: ``=`` and attached values,
+#: unique prefixes of long options, a repeated flag (the last one wins), a
+#: ``--`` before and after a command, values ``int()`` accepts in unusual
+#: spellings, and a value past ``int()``'s 4,300-digit limit.
+UNPINNED_LINES = [
+    ("polygons", "--format=tsv"),
+    ("polygons", "-p5"),
+    ("polygons", "-p=5"),
+    ("polygons", "--form", "tsv"),
+    ("classify", "--la", "1,0,0"),
+    ("classify", "--deg", "0", "--lambda", "1,0,0"),
+    ("polygons", "-p", "3", "-p", "5"),
+    ("--", "polygons"),
+    ("polygons", "--"),
+    ("-x", "polygons", "--"),
+    ("polygons", "-p", " 5"),
+    ("polygons", "-p", "5_0"),
+    ("polygons", "-p", "+5"),
+    ("polygons", "-p", "\u0665"),
+    ("polygons", "-d", "9" * 5000),
+]
+
+#: Words the oracle draws are made of: flags and their prefixes, values,
+#: and flags written with their value attached.
+ORACLE_FLAGS = ("-h", "--help", "--he", "--h", "-p", "-g", "-r", "-d", "--deg-line", "--deg",
+                "--d", "--lambda", "--la", "--l", "--format", "--form", "--f", "--", "-x",
+                "--precision", "--=x", "-", "", "---p")
+ORACLE_VALUES = ("0", "3", "5", "-1", "-1,0,0", "1,0,0", "0,0,1", "-1,0", "-1,-0", "1,,0", "x",
+                 " 5", "5_0", "+5", "\u0665", "9" * 5000, "-5x", "-1.5", "-.5", "-5\n", "json",
+                 "tsv", "xml", "-- x", "a b", "polygons")
+ORACLE_ATTACHED = ("--format=tsv", "--format=", "--form=json", "-p5", "-p=5", "-p=", "-px",
+                   "-g3", "-d-1", "--deg=0", "--lambda=-1,0,0", "--la=1,0,0", "-hx", "-hh",
+                   "-hhx", "-hp", "-hp5", "-hd", "-h=", "-h=p", "--help=x", "--he=p5")
+
+
+def _oracle_draws(seed=36, count=5000):
+    """``count`` seeded lines of up to six more words after a start: a
+    command four times in five, else nothing, ``--`` and a command, or one
+    drawn word.  Each further word is a flag and a value, a flag alone, a
+    value alone or a flag with its value attached."""
+    import random
+
+    rng = random.Random(seed)
+    words = ORACLE_FLAGS + ORACLE_VALUES + ORACLE_ATTACHED
+    draws = []
+    for _ in range(count):
+        start = rng.random()
+        if start < 0.8:
+            argv = [rng.choice(list(COMMANDS))]
+        elif start < 0.85:
+            argv = []
+        elif start < 0.9:
+            argv = ["--", rng.choice(list(COMMANDS))]
+        else:
+            argv = [rng.choice(words)]
+        for _ in range(rng.randrange(7)):
+            kind = rng.random()
+            if kind < 0.4:
+                argv += [rng.choice(ORACLE_FLAGS), rng.choice(ORACLE_VALUES)]
+            elif kind < 0.6:
+                argv.append(rng.choice(ORACLE_ATTACHED))
+            else:
+                argv.append(rng.choice(ORACLE_FLAGS if kind < 0.8 else ORACLE_VALUES))
+        draws.append(tuple(argv))
+    return draws
+
+
+def _parse_outcome(parse, argv):
+    """Exit code, stdout and stderr of ``parse(argv)``, with the parsed
+    values, sorted, in place of stdout when it returns."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            values = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return None, sorted(values.items()), err.getvalue()
+
+
+def _owned_parse(argv):
+    if argv and argv[0] in COMMANDS:
+        return cli._parse(argv[1:], argv[0])
+    return cli._parse(argv)
+
+
+def test_the_oracle_draws_hold_every_unpinned_line():
+    assert len(set(_oracle_draws())) > 4000
+    words = {word for argv in _oracle_draws() for word in argv}
+    assert words >= {word for argv in UNPINNED_LINES for word in argv}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the CLI reads a line as argparse 3.11 does; other releases' argparse reads -hx otherwise",
+)
+def test_the_owned_parser_reads_every_line_as_argparse_does():
+    """Exit code, stdout and stderr, or the parsed values, of the CLI's
+    parser and of the argparse parser it replaced agree on every golden
+    and probe line, every unpinned line and 5,000 seeded draws."""
+    from oracles import argparse_parse
+
+    lines = [
+        *(line.split() for line in PARSER_GOLDEN),
+        *_probe_draws(),
+        *UNPINNED_LINES,
+        *_oracle_draws(),
+    ]
+    differ = [
+        argv
+        for argv in lines
+        if _parse_outcome(_owned_parse, argv) != _parse_outcome(argparse_parse, argv)
+    ]
+    assert differ == []
+
+
+def test_unpinned_lines_parse_to_their_values():
+    """A few of the unpinned lines, read directly: the last of a repeated
+    flag wins, an attached or ``=`` value is the flag's, and ``int()``'s
+    spellings are ints."""
+    for argv, p in [
+        (("-p", "3", "-p", "5"), 5),
+        (("-p5",), 5),
+        (("-p=5",), 5),
+        (("-p", " 5"), 5),
+        (("-p", "5_0"), 50),
+        (("-p", "+5"), 5),
+        (("-p", "\u0665"), 5),
+    ]:
+        assert cli._parse(list(argv), "polygons")["p"] == p
+    assert cli._parse(["--form", "tsv"], "polygons")["fmt"] == "tsv"
+    assert cli._parse(["--la", "1,0,0", "--deg", "0"], "classify")["deg_line"] == 0
 
 
 def _refused_at_the_budget(proc):
