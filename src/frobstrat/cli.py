@@ -52,8 +52,8 @@ def _help(name, flags):
         text = ("usage: frobstrat [-h] command ...\n\nExact classification of Frobenius "
                 "destabilization strata: polygons, local\nmembership, fiber census, dimension "
                 "tables.\n\npositional arguments:\n  command")
-        for name, (help_text, _, _) in COMMANDS.items():  # help at column 21, below a long name
-            text += f"\n    {name:15}  " if len(name) < 16 else f"\n    {name}\n{'':21}"
+        for command, (help_text, _, _) in COMMANDS.items():  # help at column 21, below a long one
+            text += f"\n    {command:15}  " if len(command) < 16 else f"\n    {command}\n{'':21}"
             text += f"\n{'':21}".join(textwrap.wrap(help_text, 57))
         return text + "\n\noptions:\n  -h, --help         show this help message and exit\n"
     lines = [f"usage: frobstrat {name} [-h]"]
