@@ -378,7 +378,8 @@ def argparse_parse(argv) -> dict:
     description is the command list.  Help and usage errors print and exit
     as argparse does, with exit 1 for a usage error.  The grammar (flag
     names, defaults, help lines) is written out here again, not read from
-    the CLI; only :data:`frobstrat.cli.COMMANDS` is shared.
+    the CLI; only :data:`frobstrat.cli.COMMANDS` is shared.  One reading is
+    the CLI's, not argparse's: a ``--`` attached to a flag is its value.
     """
     import argparse
     import re
@@ -391,6 +392,13 @@ def argparse_parse(argv) -> dict:
     class Parser(argparse.ArgumentParser):
         def _get_formatter(self):
             return self.formatter_class(self.prog, width=78)
+
+        def _get_values(self, action, arg_strings):
+            # argparse drops a flag's attached "--" value (-p--, --format=--) and
+            # stores [] unconverted; the CLI reads it as the word "--".
+            if action.option_strings and arg_strings == ["--"]:
+                return self._get_value(action, "--")
+            return super()._get_values(action, arg_strings)
 
         def error(self, message):
             self.print_usage(sys.stderr)

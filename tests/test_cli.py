@@ -1002,14 +1002,18 @@ ORACLE_VALUES = ("0", "3", "5", "-1", "-1,0,0", "1,0,0", "0,0,1", "-1,0", "-1,-0
                  "tsv", "xml", "-- x", "a b", "polygons")
 ORACLE_ATTACHED = ("--format=tsv", "--format=", "--form=json", "-p5", "-p=5", "-p=", "-px",
                    "-g3", "-d-1", "--deg=0", "--lambda=-1,0,0", "--la=1,0,0", "-hx", "-hh",
-                   "-hhx", "-hp", "-hp5", "-hd", "-h=", "-h=p", "--help=x", "--he=p5")
+                   "-hhx", "-hp", "-hp5", "-hd", "-h=", "-h=p", "--help=x", "--he=p5", "-p--",
+                   "--format=--", "--lambda=--")
+#: Characters of the drawn words that no list above holds.
+ORACLE_CHARS = "-=hpgdfolamt10,. \n\u0665x"
 
 
 def _oracle_draws(seed=36, count=5000):
     """``count`` seeded lines of up to six more words after a start: a
     command four times in five, else nothing, ``--`` and a command, or one
-    drawn word.  Each further word is a flag and a value, a flag alone, a
-    value alone or a flag with its value attached."""
+    drawn word.  Each further word is a flag and a value, a flag with its
+    value attached, a flag alone, a value alone, or up to five characters
+    drawn from :data:`ORACLE_CHARS`."""
     import random
 
     rng = random.Random(seed)
@@ -1027,12 +1031,14 @@ def _oracle_draws(seed=36, count=5000):
             argv = [rng.choice(words)]
         for _ in range(rng.randrange(7)):
             kind = rng.random()
-            if kind < 0.4:
+            if kind < 0.35:
                 argv += [rng.choice(ORACLE_FLAGS), rng.choice(ORACLE_VALUES)]
-            elif kind < 0.6:
+            elif kind < 0.55:
                 argv.append(rng.choice(ORACLE_ATTACHED))
+            elif kind < 0.85:
+                argv.append(rng.choice(ORACLE_FLAGS if kind < 0.7 else ORACLE_VALUES))
             else:
-                argv.append(rng.choice(ORACLE_FLAGS if kind < 0.8 else ORACLE_VALUES))
+                argv.append("".join(rng.choice(ORACLE_CHARS) for _ in range(rng.randrange(6))))
         draws.append(tuple(argv))
     return draws
 
@@ -1086,6 +1092,30 @@ def test_the_owned_parser_reads_every_line_as_argparse_does():
         if _parse_outcome(_owned_parse, argv) != _parse_outcome(argparse_parse, argv)
     ]
     assert differ == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["polygons", "-p--"], 1, "frobstrat polygons: error: argument -p: invalid int value: '--'\n"),
+        (["polygons", "--format=--"], 1, "frobstrat polygons: error: argument --format: invalid "
+         "choice: '--' (choose from 'json', 'tsv')\n"),
+        (["classify", "--lambda=--"], 1, "frobstrat: --lambda expects comma-separated integers, "
+         "got '--'\n"),
+    ],
+    ids=["p", "format", "lambda"],
+)
+def test_an_attached_double_dash_is_the_flag_value(capsys, argv, code, error):
+    """``-p--`` and ``--format=--`` give the flag the value ``--``.  argparse
+    dropped it and stored an empty list unconverted, so ``--format=--``
+    printed TSV and ``classify --lambda=--`` died of an AttributeError."""
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(error)
 
 
 def test_unpinned_lines_parse_to_their_values():
