@@ -11,7 +11,8 @@ cross-multiplication, and polygon construction as separate passes
 (convert, check, drop collinear points, check again) for the library's
 one validating pass.  The height of a polygon at any rational abscissa
 and the vertexwise polygon comparison live here too, since only the
-tests use them.
+tests use them, and so does a copy of the argparse parser the CLI's own
+grammar reader replaced.
 """
 
 from __future__ import annotations
@@ -363,7 +364,6 @@ def two_pass_make_polygon(points) -> tuple[tuple[int, int], ...]:
             kept.pop()
         kept.append(pt)
     return two_pass_lattice_polygon(kept)
-
 
 
 def argparse_parse(argv) -> dict:
