@@ -127,8 +127,8 @@ class FpMatrix(Record):
     rows: tuple[tuple[int, ...], ...]
     modulus: int
 
-    def __post_init__(self) -> None:
-        p, rows = require_prime(self.modulus), self.rows
+    def __init__(self, rows, modulus: int) -> None:
+        p = require_prime(modulus)
         try:
             rows = tuple(_reduce(row, p) for row in rows)
         except TypeError:

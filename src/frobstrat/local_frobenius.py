@@ -104,9 +104,9 @@ class LocalContext(Record):
     p: int
     precision: int
 
-    def __post_init__(self) -> None:
-        p = require_prime(self.p)
-        precision = _checked_int(self.precision)
+    def __init__(self, p: int, precision: int) -> None:
+        p = require_prime(p)
+        precision = _checked_int(precision)
         if precision < 2 * p:
             raise InvalidParameters(
                 f"precision must be at least 2p = {2 * p}, got {precision}"
@@ -132,7 +132,8 @@ class PullbackElement(Record):
     constructor brings any sum of monomials (j, i, c) with nonnegative
     integer exponents to this form: it moves t^p across the tensor sign
     until i < p, truncates at the precision, and combines like monomials
-    mod p, dropping zeros.  It gathers the checked terms in one list,
+    mod p, dropping zeros.  A term that is not a triple is refused with
+    :class:`InvalidParameters`.  It gathers the checked terms in one list,
     keeping each triple of exact ints already in normal form as the
     caller's object, sorts the list and merges equal neighbours, so it
     holds its input about once.  ``modulus`` and ``precision`` are stored
@@ -154,27 +155,32 @@ class PullbackElement(Record):
     #: before the first image; None on every other element.
     _image = None
 
-    def __post_init__(self) -> None:
-        p = require_prime(self.modulus)
-        n = _checked_int(self.precision, "precision", 0)
+    def __init__(self, terms, precision: int, modulus: int) -> None:
+        p = require_prime(modulus)
+        n = _checked_int(precision, "precision", 0)
         # One list of checked, carried and truncated terms; a term that is
         # already a triple of exact ints in normal form is kept as given.
         checked = []
-        for term in self.terms:
-            if type(term) is tuple and len(term) == 3:
+        try:
+            for term in terms:
+                if type(term) is tuple and len(term) == 3:
+                    right, left, coef = term
+                    if (type(right) is int and type(left) is int and type(coef) is int
+                            and 0 <= right < n and 0 <= left < p and 0 < coef < p):
+                        checked.append(term)
+                        continue
                 right, left, coef = term
-                if (type(right) is int and type(left) is int and type(coef) is int
-                        and 0 <= right < n and 0 <= left < p and 0 < coef < p):
-                    checked.append(term)
-                    continue
-            right, left, coef = term
-            right = _checked_int(right, "right exponent", 0)
-            left = _checked_int(left, "left exponent", 0)
-            coef = _checked_int(coef) % p
-            carry, left = divmod(left, p)
-            right += p * carry
-            if right < n and coef:
-                checked.append((right, left, coef))
+                right = _checked_int(right, "right exponent", 0)
+                left = _checked_int(left, "left exponent", 0)
+                coef = _checked_int(coef) % p
+                carry, left = divmod(left, p)
+                right += p * carry
+                if right < n and coef:
+                    checked.append((right, left, coef))
+        except InvalidParameters:
+            raise
+        except (TypeError, ValueError):
+            raise InvalidParameters(f"terms must be triples, got {terms!r}") from None
         checked.sort()
         # Like monomials are neighbours now: merge them mod p, then drop
         # the sums that vanish.
@@ -246,7 +252,10 @@ def element_from_monomials(ctx: LocalContext, terms) -> PullbackElement:
     """Normal form of a sum of monomials (left_exp, right_exp, coefficient)
     at the context's precision: the constructor's normaliser, with each
     monomial written left exponent first."""
-    swapped = [(right, left, coef) for left, right, coef in terms]
+    try:
+        swapped = [(right, left, coef) for left, right, coef in terms]
+    except (TypeError, ValueError):
+        raise InvalidParameters(f"terms must be triples, got {terms!r}") from None
     return PullbackElement(swapped, ctx.precision, ctx.p)
 
 
@@ -469,6 +478,11 @@ class ColengthProfile(Record):
     intersection_degrees: dict[int, int]
     extrapolated: bool
 
+    def __init__(self, colengths, intersection_degrees, extrapolated) -> None:
+        object.__setattr__(self, "colengths", colengths)
+        object.__setattr__(self, "intersection_degrees", intersection_degrees)
+        object.__setattr__(self, "extrapolated", extrapolated)
+
 
 def level_degree(p: int, genus: int, line_degree: int, level: int) -> int:
     """Degree of filtration level ``level``: the sum of its graded degrees
@@ -513,12 +527,7 @@ def colength_profile(
     descending = [colength(ctx, point, lv) for lv in range(p - 1, 0, -1)]
     cols = dict(zip(range(1, p), reversed(descending)))
     inter = {lv: _level_degree(p, genus, line_degree, lv) - col for lv, col in cols.items()}
-    profile = object.__new__(ColengthProfile)
-    object.__setattr__(profile, "colengths", cols)
-    object.__setattr__(profile, "intersection_degrees", inter)
-    extrapolated = (p, genus, line_degree) != REFERENCE_PARAMETERS
-    object.__setattr__(profile, "extrapolated", extrapolated)
-    return profile
+    return ColengthProfile(cols, inter, (p, genus, line_degree) != REFERENCE_PARAMETERS)
 
 
 def fiber_polygon(

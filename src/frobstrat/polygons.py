@@ -59,8 +59,9 @@ def _lattice_points(points, drop_collinear: bool) -> tuple[tuple[int, int], ...]
     segment's slope with the last kept segment's by cross-multiplication.
     An equal slope extends that segment when ``drop_collinear`` is set (as
     ranks increase, a point drops at most the one kept vertex before it)
-    and is a turn that is not strictly clockwise otherwise.  A failed check
-    is raised once every pair is read, in the order: non-integral entry,
+    and is a turn that is not strictly clockwise otherwise.  A non-integral
+    entry, or a vertex that is not a pair, is refused as it is read; any
+    other failed check is raised once every pair is read, in the order:
     empty chain (:class:`BadStart` when dropping collinear points), fewer
     than two vertices, start, ranks, convexity.
     """
@@ -89,6 +90,8 @@ def _lattice_points(points, drop_collinear: bool) -> tuple[tuple[int, int], ...]
             x1, y1 = x, y  # while ranks rise, also the last kept vertex
     except TypeError:
         raise _not_integral(points) from None
+    except ValueError:
+        raise InvalidParameters(f"vertices must be pairs, got {points!r}") from None
     if not kept and drop_collinear:
         raise BadStart("empty vertex chain")
     if len(kept) < 2 and rising:  # a falling rank needs two points

@@ -78,14 +78,15 @@ class CurveContext(Record):
     r: int
     d: int
     line_degree: int
+    # bound here only to be the parameters' defaults
     p, g, r, d, line_degree = REFERENCE_CONFIGURATION
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", require_prime(self.p))
-        object.__setattr__(self, "g", _checked_int(self.g, "genus", 2))
-        object.__setattr__(self, "r", _checked_int(self.r, "rank", 1))
-        object.__setattr__(self, "d", _checked_int(self.d))
-        object.__setattr__(self, "line_degree", _checked_int(self.line_degree))
+    def __init__(self, p=p, g=g, r=r, d=d, line_degree=line_degree) -> None:
+        object.__setattr__(self, "p", require_prime(p))
+        object.__setattr__(self, "g", _checked_int(g, "genus", 2))
+        object.__setattr__(self, "r", _checked_int(r, "rank", 1))
+        object.__setattr__(self, "d", _checked_int(d))
+        object.__setattr__(self, "line_degree", _checked_int(line_degree))
 
 
 class StratumReport(Record):
@@ -104,6 +105,11 @@ class StratumReport(Record):
     moduli_dim: int
     closure: str
     counts: dict | None
+
+    def __init__(self, polygon_id, polygon, fiber_dim, quot_dim, moduli_dim, closure, counts):
+        values = polygon_id, polygon, fiber_dim, quot_dim, moduli_dim, closure, counts
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
 
 
 def pushforward_type(r: int, d: int, p: int, g: int) -> tuple[int, int]:
@@ -183,6 +189,13 @@ class FiberCensus(Record):
     strict_forms: dict[str, str]
     closed_forms: dict[str, str]
 
+    def __init__(
+        self, field_size, total, strict_counts, closed_counts, strict_forms, closed_forms
+    ):
+        values = field_size, total, strict_counts, closed_counts, strict_forms, closed_forms
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+
 
 def fiber_census(p: int, g: int, line_degree: int) -> FiberCensus:
     """Classify every point of P^{p-1}(F_p) and tally the strata.
@@ -192,7 +205,7 @@ def fiber_census(p: int, g: int, line_degree: int) -> FiberCensus:
     closed forms) is not established.  Per-point classification at other parameters remains
     available through :func:`frobstrat.local_frobenius.fiber_polygon`.
     """
-    g, line_degree = _checked_int(g), _checked_int(line_degree)
+    p, g, line_degree = _checked_int(p), _checked_int(g), _checked_int(line_degree)
     if (p, g, line_degree) != REFERENCE_PARAMETERS:
         raise InvalidParameters(
             f"census is defined for (p, g, line degree) = "

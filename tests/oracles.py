@@ -316,11 +316,14 @@ def count_frobenius_polygons(p, g, r, d, max_states=200_000):
 
 
 def _exact_pairs(points) -> tuple[tuple[int, int], ...]:
-    """``points`` as exact-int pairs; a float or a fraction is refused."""
+    """``points`` as exact-int pairs; a float or a fraction is refused, and
+    so is a vertex that is not a pair, whichever comes first."""
     try:
         return tuple((index(a), index(b)) for a, b in points)
     except TypeError:
         raise InvalidParameters(f"entries must be integers, got {points!r}") from None
+    except ValueError:
+        raise InvalidParameters(f"vertices must be pairs, got {points!r}") from None
 
 
 def _check_head_and_ranks(verts) -> None:

@@ -209,6 +209,18 @@ def test_pullback_elements_store_their_modulus_as_an_exact_int(monkeypatch):
     assert tested == []
 
 
+def test_fiber_census_reads_p_as_it_reads_g_and_the_line_degree():
+    """``p`` passes the integer check that ``g`` and the line degree pass:
+    an ``__index__`` integer is accepted, an int subclass is stored as the
+    exact int it equals, and a string is refused as not an integer."""
+    census = fiber_census(3, 2, -1)
+    assert fiber_census(_Index(3), 2, -1) == census
+    subclass = fiber_census(_Prime.THREE, 2, -1)
+    assert type(subclass.field_size) is int and repr(subclass) == repr(census)
+    with pytest.raises(InvalidParameters, match="must be integers"):
+        fiber_census("3", 2, -1)
+
+
 def test_require_prime_returns_the_exact_int_it_checked(monkeypatch):
     """``require_prime`` hands back the exact int equal to its argument: a
     memo hit returns the argument itself and an int subclass comes back as
@@ -280,9 +292,33 @@ def test_constructors_take_any_iterable():
         lambda: FpMatrix([1, 2], 3),
         lambda: FiberPoint(5, 3),
         lambda: FiberPoint(iter([1, 0]), 3),
+        lambda: PullbackElement([(1, 2)], 9, 3),
+        lambda: PullbackElement([5], 9, 3),
+        lambda: PullbackElement(None, 9, 3),
+        lambda: element_from_monomials(CTX3, [(1, 2)]),
+        lambda: element_from_monomials(CTX3, None),
+        lambda: LatticePolygon([(0, 0, 0), (1, 1, 1)]),
+        lambda: make_polygon([(0, 0, 0), (1, 1, 1)]),
+        lambda: make_polygon([(0, 0), (1,)]),
     ],
-    ids=["FpMatrix", "FpMatrix.row", "FiberPoint", "FiberPoint.short"],
+    ids=[
+        "FpMatrix",
+        "FpMatrix.row",
+        "FiberPoint",
+        "FiberPoint.short",
+        "PullbackElement.pair",
+        "PullbackElement.int",
+        "PullbackElement.None",
+        "element_from_monomials.pair",
+        "element_from_monomials.None",
+        "LatticePolygon.triples",
+        "make_polygon.triples",
+        "make_polygon.single",
+    ],
 )
 def test_non_iterable_or_short_input_is_refused(build):
+    """A value that is not iterable, or a term or vertex of the wrong
+    length, is refused with :class:`InvalidParameters`, not with the raw
+    :class:`TypeError` or :class:`ValueError` of iterating or unpacking it."""
     with pytest.raises(InvalidParameters):
         build()

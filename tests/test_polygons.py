@@ -189,6 +189,17 @@ def _non_integral_chain(rng):
     return [tuple(pt) if rng.random() < 0.5 else pt for pt in chain]
 
 
+def _malformed_chain(rng):
+    """A chain with one vertex of no, one or three entries and, sometimes,
+    a float entry in another vertex, before or after it."""
+    chain = _convex_chain(rng, collinear=rng.random() < 0.5)
+    k, j = rng.randrange(len(chain)), rng.randrange(len(chain))
+    chain[k] = rng.choice([(), chain[k][:1], chain[k] + (rng.randint(-2, 2),)])
+    if j != k and rng.random() < 0.3:
+        chain[j] = (float(chain[j][0]), chain[j][1])
+    return chain
+
+
 def _random_chain(rng):
     """Any short chain: unsorted ranks, any heights, often starting at (0, 0)."""
     chain = [(rng.randint(0, 4), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))]
@@ -222,6 +233,7 @@ CHAIN_CLASSES = {
     "empty": lambda rng: rng.choice([[], ()]),
     "equal or backtracking ranks": _backtracking_chain,
     "float or Fraction pairs": _non_integral_chain,
+    "pairs of the wrong length": _malformed_chain,
     "random": _random_chain,
 }
 
@@ -230,8 +242,8 @@ CHAIN_CLASSES = {
 def test_construction_matches_the_two_pass_oracle(kind):
     """:func:`make_polygon` and :class:`LatticePolygon` give the vertices of
     the two-pass oracle, or its error type and message (so the precedence
-    non-integral, empty, fewer than two, start, ranks, convexity holds), on
-    a seeded sample of each chain class."""
+    non-integral or malformed pair, empty, fewer than two, start, ranks,
+    convexity holds), on a seeded sample of each chain class."""
     rng = random.Random(f"construction {kind}")
     for _ in range(300):
         chain = CHAIN_CLASSES[kind](rng)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from frobstrat.local_frobenius import (
     PullbackElement,
 )
 from frobstrat.polygons import REFERENCE_POLYGONS, LatticePolygon, make_polygon
+from frobstrat.record import Record
 from frobstrat.strata import CurveContext, FiberCensus, StratumReport
 
 P4 = REFERENCE_POLYGONS["P4"]
@@ -64,9 +66,18 @@ def test_assignment_and_deletion_raise(cls, args):
 
 
 @pytest.mark.parametrize("cls,args", VALUES, ids=IDS)
+def test_the_signature_names_the_fields_in_order(cls, args):
+    """Each record's own ``__init__`` takes its fields in order, so Python
+    binds the arguments; ``Record`` itself defines no constructor."""
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
+    assert "__init__" not in vars(Record)
+
+
+@pytest.mark.parametrize("cls,args", VALUES, ids=IDS)
 def test_missing_or_unknown_field_raises_type_error(cls, args):
     kwargs = dict(zip(cls._fields, args))
-    required = [f for f in cls._fields if f not in cls._defaults]
+    params = inspect.signature(cls).parameters.values()
+    required = [param.name for param in params if param.default is param.empty]
     if required:
         with pytest.raises(TypeError):
             cls(**{k: v for k, v in kwargs.items() if k != required[0]})
@@ -113,8 +124,7 @@ def test_a_polygon_from_the_trusted_path_is_a_full_record():
 
 def _instance_dict_sites(tree):
     """Lines that reach an instance's ``__dict__``: every ``x.__dict__``
-    but ``cls.__dict__``, the class dict that ``Record`` reads its field
-    defaults from.  Writing through an alias (``d = x.__dict__; d[k] = v``)
+    but ``cls.__dict__``, which is a class's dict.  Writing through an alias (``d = x.__dict__; d[k] = v``)
     starts with such a read, so it is caught too."""
     return sorted(
         node.lineno
